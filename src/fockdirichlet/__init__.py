@@ -5,14 +5,14 @@ from .fock import (LatticeConfig, LatticeOperator, TruncationReport,
                    build_mode_ops, clean_projector, commutator, embed,
                    identity_operator, mollify, site_operator,
                    total_sector_projector)
-from .state import (GibbsState, KmsMetric, ModularFlow, decompose_modular,
-                    eigen_detect, gibbs_state, kms_inner, lp_norm, modular_flow)
-from .kernels import AdmissibleKernel, admissibility_report, kernel_fourier
+from .state import (GibbsState, KmsMetric, decompose_modular, eigen_detect,
+                    gibbs_state, lp_norm, modular_flow, modular_flows)
+from .kernels import AdmissibleKernel, admissibility_report
 from .dirichlet import (DerivationDirection, Superoperator,
                         adjoint_derivation_super, assemble_generator,
                         derivation_super, dirichlet_energy, gamma1,
                         gamma1_closed_form, gamma1_contour_form,
-                        semigroup_apply, vec, unvec)
+                        generator_kernel, semigroup_apply, vec, unvec)
 from .models import (AlgebraReport, BuiltModel, ModelSpec, ModularOrbit,
                      build_model, mean_field_n_coefficients,
                      mean_field_n_orbit, modular_orbit, one_particle_flow,

@@ -275,7 +275,8 @@ def run_scenario(cfg: dict, out_dir: str = ".", seed: int | None = None,
                                        kernel=kernel,
                                        edges=params.get("edges", "ordered"),
                                        t_grid=tuple(params.get("t_grid",
-                                                               (0.2, 0.5, 1.0, 2.0))))
+                                                               (0.2, 0.5, 1.0, 2.0))),
+                                       seed=seed)
         report["heat"] = _jsonable({
             "span_residual": rep.span_residual,
             "C_predicted": rep.C_predicted,
@@ -298,7 +299,7 @@ def run_scenario(cfg: dict, out_dir: str = ".", seed: int | None = None,
             tuple(params.get("lengths", [16])),
             beta=params.get("beta", 1.0), kernel=kernel,
             cross_check_length=params.get("cross_check_length", 4),
-            cross_check_n_max=params.get("cross_check_n_max", 2))
+            cross_check_n_max=params.get("cross_check_n_max", 2), seed=seed)
         report["decay"] = _jsonable({
             "lengths": rep.lengths, "slopes": rep.slopes,
             "windows": rep.windows, "t0_check": rep.t0_check,

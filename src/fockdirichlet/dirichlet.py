@@ -8,27 +8,39 @@ Sign convention: `assemble_generator` returns K = -L, which is positive
 semidefinite in the KMS metric and annihilates the identity; the Markov
 semigroup is P_t = exp(-t K).
 
-Two assembly paths are provided and must agree:
+Both assembly paths feed one kernel, `generator_kernel`.  Its input is
+stacks of operator triples (Wm_k, Wp_k, Y_l) and a coefficient matrix C,
+and it returns
+
+    K = I (x) P + Q^T (x) I - sum_kl C_kl (Wm_k^T (x) Y_l + Y_l^T (x) Wp_k),
+    P = sum_kl C_kl Wp_k Y_l,   Q = sum_kl C_kl Y_l Wm_k,
+
+which is sum_kl C_kl delta*_k delta_l with delta_l = i (L_{Y_l} - R_{Y_l})
+and delta*_k = i (R_{Wm_k} - L_{Wp_k}).  The paths differ only in the feed,
+and must agree:
 
   * eigen path -- each direction is split into modular eigencomponents
-    X = sum_k X_k with alpha_t(X_k) = exp(i omega_k beta t) X_k; the time
-    integral collapses to kernel transforms eta_hat((omega_l - omega_k) beta).
-  * quadrature path -- the smeared integral of delta*_{alpha_t(X)}
-    delta_{alpha_t(X)} is evaluated on a Gauss-Legendre grid using actual
-    complex-time modular flows, with no reference to eigencomponents.
+    X = sum_k X_k with alpha_t(X_k) = exp(i omega_k beta t) X_k; Y_l = X_l,
+    Wm_k / Wp_k = alpha_{-/+ i/2}(X_k*), and the time integral collapses to
+    C_kl = nu eta_hat((omega_l - omega_k) beta) (mu block on X*).
+  * quadrature path -- C is diagonal over Gauss-Legendre nodes,
+    C_nn = w_n eta(t_n) nu, with Y_n = alpha_{t_n}(X) and Wm_n / Wp_n =
+    alpha_{t_n -/+ i/2}(X*): actual complex-time modular flows, computed for
+    all nodes at once by `modular_flows`, with no reference to
+    eigencomponents.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .fock import LatticeConfig, LatticeOperator, _prune, identity_operator
 from .kernels import AdmissibleKernel
-from .state import GibbsState, KmsMetric, decompose_modular, modular_flow
+from .state import (GibbsState, KmsMetric, decompose_modular, modular_flow,
+                    modular_flows)
 
 SYMMETRY_TOL = 1e-9
 
@@ -82,12 +94,6 @@ class Superoperator:
     def apply(self, f) -> LatticeOperator:
         return unvec(self.matrix @ vec(f), self.lattice)
 
-    def __matmul__(self, other):
-        if isinstance(other, Superoperator):
-            return Superoperator(_prune(self.matrix @ other.matrix), self.lattice,
-                                 self.metric, label=f"{self.label}{other.label}")
-        return self.matrix @ other
-
 
 def derivation_super(X: LatticeOperator) -> Superoperator:
     """delta_X(f) = i[X, f] as a superoperator: i (L_X - R_X)."""
@@ -127,20 +133,6 @@ class DerivationDirection:
             raise ValueError("at least one of nu, mu must be positive")
 
 
-def _adjoint_factors(comp: LatticeOperator, state: GibbsState):
-    """delta*_{X_k} = i (R_{alpha_{-i/2}(X_k*)} - L_{alpha_{i/2}(X_k*)}).
-
-    For an exact eigencomponent this equals the scalar form
-    i (e^{xi} R_{X_k*} - e^{-xi} L_{X_k*}) with xi = -omega beta / 2; using
-    the flow keeps the adjoint exact when a numerically decomposed component
-    only approximately clusters a frequency bucket.
-    """
-    Xd = comp.dag()
-    Wm = modular_flow(Xd, state, -0.5j)
-    Wp = modular_flow(Xd, state, +0.5j)
-    return 1j * (right_mult(Wm) - left_mult(Wp))
-
-
 def _eigen_components(direction: DerivationDirection, state: GibbsState):
     if direction.components is not None:
         return direction.components
@@ -160,63 +152,116 @@ def assemble_generator(directions, metric: KmsMetric, kernel: AdmissibleKernel,
                      on a Gauss-Legendre grid.
     """
     state = metric.state
-    beta = state.beta
-    D = state.dim
-    K = sp.csr_matrix((D * D, D * D), dtype=complex)
-
     if path == "eigen":
-        for direction in directions:
-            comps = _eigen_components(direction, state)
-            if not comps:
-                continue
-            ds = [derivation_super(c).matrix for c, _ in comps]
-            dstars = [_adjoint_factors(c, state) for c, _ in comps]
-            # components of X* are the adjoints with frequencies -omega_k
-            ds_star = [derivation_super(c.dag()).matrix for c, _ in comps]
-            dstars_star = [_adjoint_factors(c.dag(), state) for c, _ in comps]
-            for k, (_, wk) in enumerate(comps):
-                for l, (_, wl) in enumerate(comps):
-                    if direction.nu:
-                        coef = direction.nu * kernel.fourier((wl - wk) * beta)
-                        K = K + coef * (dstars[k] @ ds[l])
-                    if direction.mu:
-                        coef = direction.mu * kernel.fourier((wk - wl) * beta)
-                        K = K + coef * (dstars_star[k] @ ds_star[l])
+        feeds = [f for d in directions for f in _eigen_feeds(d, state, kernel)]
     elif path == "quadrature":
         nodes, weights = kernel.time_grid(nodes_per_panel=quad_nodes)
         eta_vals = kernel.eta(nodes)
-        for direction in directions:
-            X = direction.X
-            for t, w, ev in zip(nodes, weights, eta_vals):
-                if abs(ev) < 1e-16:
-                    continue
-                if direction.nu:
-                    K = K + (w * ev * direction.nu) * _node_term(X, t, metric)
-                if direction.mu:
-                    K = K + (w * ev * direction.mu) * _node_term(X.dag(), t, metric)
+        keep = np.abs(eta_vals) >= 1e-16
+        t, c = nodes[keep], weights[keep] * eta_vals[keep]
+        feeds = [f for d in directions for f in _quadrature_feeds(d, state, t, c)]
     else:
         raise ValueError(f"unknown assembly path {path!r}")
 
-    K = _prune(K)
-    sup = Superoperator(K, state.lattice, metric, label="-L")
+    sup = Superoperator(generator_kernel(feeds, state.dim), state.lattice,
+                        metric, label="-L")
     if check:
         _verify_generator(sup, check_pairs, seed)
     return sup
 
 
-def _node_term(X: LatticeOperator, t: float, metric: KmsMetric) -> sp.csr_matrix:
-    """delta*_{alpha_t(X)} delta_{alpha_t(X)} at one time node.
+def _eigen_feeds(direction: DerivationDirection, state: GibbsState,
+                 kernel: AdmissibleKernel):
+    """Triples and eta_hat coefficients of one direction's eigencomponents.
 
-    With (alpha_t(X))* = alpha_t(X*) for real t, the adjoint multipliers are
-    the complex-time flows alpha_{t -/+ i/2}(X*).
+    The components of X* are the adjoints with frequencies -omega_k.  The
+    adjoint multipliers are flows rather than the scalar form
+    e^{-/+xi} X_k*, which keeps delta*_{X_k} exact when a numerically
+    decomposed component only approximately clusters a frequency bucket.
     """
-    st = metric.state
-    Y = modular_flow(X, st, t)
-    Wm = modular_flow(X.dag(), st, t - 0.5j)
-    Wp = modular_flow(X.dag(), st, t + 0.5j)
-    dstar = 1j * (right_mult(Wm) - left_mult(Wp))
-    d = 1j * (left_mult(Y) - right_mult(Y))
-    return dstar @ d
+    comps = _eigen_components(direction, state)
+    if not comps:
+        return []
+    omegas = [w for _, w in comps]
+    feeds = []
+    for weight, sign, ops in ((direction.nu, 1.0, [c for c, _ in comps]),
+                              (direction.mu, -1.0, [c.dag() for c, _ in comps])):
+        if weight:
+            coef = [[weight * kernel.fourier(sign * (wl - wk) * state.beta)
+                     for wl in omegas] for wk in omegas]
+            feeds.append((*_eigen_triples(ops, state), coef))
+    return feeds
+
+
+def _eigen_triples(ops, state: GibbsState):
+    return (_rows([modular_flow(op.dag(), state, -0.5j).matrix for op in ops]),
+            _rows([modular_flow(op.dag(), state, 0.5j).matrix for op in ops]),
+            _rows([op.matrix for op in ops]))
+
+
+def _rows(mats) -> sp.csr_matrix:
+    """Stack of the row-major flattenings of D x D matrices, (N x D^2)."""
+    return sp.vstack([m.reshape((1, -1)) for m in mats], format="csr")
+
+
+def _quadrature_feeds(direction: DerivationDirection, state: GibbsState,
+                      t: np.ndarray, c: np.ndarray):
+    """Flow triples at the Gauss nodes t with diagonal coefficients c * weight.
+
+    With (alpha_t(X))* = alpha_t(X*) for real t, the adjoint multipliers of
+    delta_{alpha_t(X)} are the complex-time flows alpha_{t -/+ i/2}(X*).
+    """
+    return [(modular_flows(X.dag(), state, t - 0.5j),
+             modular_flows(X.dag(), state, t + 0.5j),
+             modular_flows(X, state, t), sp.diags(c * weight))
+            for weight, X in ((direction.nu, direction.X),
+                              (direction.mu, direction.X.dag())) if weight]
+
+
+def generator_kernel(feeds, D: int) -> sp.csr_matrix:
+    """sum over feeds of sum_kl C_kl delta*_k delta_l as a D^2 x D^2 CSR.
+
+    Each feed is (Wm, Wp, Y, C): (N x D^2) stacks Wm, Wp and an (M x D^2)
+    stack Y of row-major flattenings, and an (N x M) coefficient matrix C;
+    the feeds are stacked with a block-diagonal C.  P and Q are one
+    (D x N D)(N D x D) product each.  Under the index bijection
+    ((r, s), (i, j)) -> ((s, i), (r, j)), Wm^T (x) Y is the outer product
+    vec(Wm) vec(Y)^T, Y^T (x) Wp is vec(Y) vec(Wp)^T, I (x) P is
+    vec(I) vec(P)^T and Q^T (x) I is vec(Q) vec(I)^T.  So K is the single
+    sparse product A^T B of A = [Wm; Y; vec(I); vec(Q)] and
+    B = [-C Y; -C^T Wp; vec(P); vec(I)], which sums every term, moved into
+    Kronecker layout by that bijection (so without duplicates).
+    """
+    if not feeds:
+        return sp.csr_matrix((D * D, D * D), dtype=complex)
+    Wm, Wp, Y = (sp.vstack([f[i] for f in feeds], format="csr") for i in range(3))
+    C = sp.block_diag([sp.csr_matrix(f[3]) for f in feeds], format="csr")
+    CY = C @ Y
+    P = _side_by_side(Wp, D) @ CY.reshape((-1, D))             # sum C Wp_k Y_l
+    Q = _side_by_side(Y, D) @ (C.T @ Wm).reshape((-1, D))      # sum C Y_l Wm_k
+    one = _rows([sp.identity(D, dtype=complex, format="csr")])
+    A = sp.vstack([Wm, Y, one, _rows([Q])], format="csr")
+    B = sp.vstack([-CY, -(C.T @ Wp), _rows([P]), one], format="csr")
+    M = A.T.tocsr() @ B
+    del A, B
+    # in place: the row and column index arrays are the largest temporaries
+    cols = np.repeat(np.arange(D * D, dtype=M.indices.dtype), np.diff(M.indptr))
+    rows = cols % D
+    rows *= D
+    rows += M.indices // D
+    cols //= D
+    cols *= D
+    cols += M.indices % D
+    K = sp.coo_matrix((M.data, (rows, cols)), shape=(D * D, D * D))
+    del M, rows, cols
+    return _prune(K.tocsr())
+
+
+def _side_by_side(S: sp.csr_matrix, D: int) -> sp.csr_matrix:
+    """[A_1 A_2 ... A_N] (D x N D) from the (N x D^2) stack of the A_k."""
+    S = S.tocoo()
+    i, j = np.divmod(S.col, D)
+    return sp.csr_matrix((S.data, (i, S.row * D + j)), shape=(D, S.shape[0] * D))
 
 
 def _verify_generator(sup: Superoperator, pairs: int, seed: int):

@@ -16,8 +16,8 @@ used to state those residuals, and `TruncationReport` records the defect.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -348,11 +348,3 @@ def compressed(op: LatticeOperator | sp.spmatrix | np.ndarray,
     m = op.matrix if isinstance(op, LatticeOperator) else sp.csr_matrix(op)
     keep = np.flatnonzero(projector.diagonal() > 0.5)
     return m.toarray()[np.ix_(keep, keep)]
-
-
-def clean_residual(op, projector) -> float:
-    """Spectral norm of the projector-compressed operator."""
-    block = compressed(op, projector)
-    if block.size == 0:
-        return 0.0
-    return float(np.linalg.norm(block, 2))

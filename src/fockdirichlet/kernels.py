@@ -212,10 +212,7 @@ def admissibility_report(kernel: AdmissibleKernel, *, p: float = 2.0,
     # decay bound sup over the strip at several heights
     M = 0.0
     for a in np.linspace(-0.249, 0.249, 7):
-        if kernel.sigma == 0.0:
-            va = np.abs(kernel.eta_strip(t, float(a)))
-        else:
-            va = np.abs(kernel.eta_strip(t, float(a)))
+        va = np.abs(kernel.eta_strip(t, float(a)))
         M = max(M, float(np.max(va * (1 + np.abs(t)) ** p)))
     cond3 = np.isfinite(M)
 
@@ -225,7 +222,3 @@ def admissibility_report(kernel: AdmissibleKernel, *, p: float = 2.0,
         decay_M=M, decay_p=p,
         condition1_ok=bool(cond1), condition2_ok=bool(cond2),
         condition3_ok=bool(cond3), notes=tuple(notes))
-
-
-def kernel_fourier(kernel: AdmissibleKernel, s: float) -> complex:
-    return kernel.fourier(s)

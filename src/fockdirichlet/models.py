@@ -28,11 +28,9 @@ records the margin it used.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from .dirichlet import DerivationDirection
 from .fock import (LatticeConfig, LatticeOperator, build_mode_ops, clean_projector,
@@ -247,8 +245,6 @@ def build_model(spec: ModelSpec) -> BuiltModel:
                          (_pow(ad[k], m) * (-scale), float(-m))]
                 Z = comps[0][0] + comps[1][0]
                 Z.label = f"Y_{j},{k}"
-            if n == m and kind == "z_power":
-                pass
             directions.append(DerivationDirection(Z, spec.nu, spec.mu,
                                                   components=comps))
             orbits.append(comps)

@@ -19,17 +19,19 @@ X = A.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.special import logsumexp
 
-from .fock import LatticeConfig, LatticeOperator, _prune
+from .fock import PRUNE_TOL, LatticeConfig, LatticeOperator, _prune
 
 # |Im z| guard for modular flow (configurable per state)
 DEFAULT_GUARD = 1.0
 CONDITION_LIMIT = 1e12
+# complex entries per batch of eigenbasis rotations in `modular_flows`
+FLOW_BATCH = 1 << 21
 
 
 class ConditionWarning(UserWarning):
@@ -198,10 +200,6 @@ class KmsMetric:
         return M, Minv
 
 
-def kms_inner(f, g, metric: KmsMetric) -> complex:
-    return metric.inner(f, g)
-
-
 def lp_norm(f, state: GibbsState, p: int, s: float) -> float:
     """||f||_{omega,p,s} = (Tr |rho^((1-s)/p) f rho^(s/p)|^p)^(1/p)."""
     if not (isinstance(p, (int, np.integer)) and p >= 1):
@@ -218,42 +216,59 @@ def lp_norm(f, state: GibbsState, p: int, s: float) -> float:
     return float(np.sum(sv ** p) ** (1.0 / p))
 
 
-def modular_flow(X, state: GibbsState, z: complex) -> LatticeOperator:
-    """alpha_z(X) = rho^(iz) X rho^(-iz), guarded on the imaginary strip."""
-    if abs(np.imag(z)) > state.guard + 1e-12:
-        raise ValueError(f"|Im z| = {abs(np.imag(z))} exceeds guard strip "
-                         f"{state.guard}")
-    lattice = X.lattice if isinstance(X, LatticeOperator) else state.lattice
+def modular_flows(X, state: GibbsState, zs) -> sp.csr_matrix:
+    """alpha_z(X) for every z in `zs`: a (len(zs), D^2) CSR whose row n is
+    the row-major flattening of alpha_{zs[n]}(X), pruned at PRUNE_TOL.
+
+    Each z gets the guard-strip ValueError and the ConditionWarning of a
+    single flow.  For a diagonal state the rows share the pattern of X and
+    differ by phases u_r / u_c; otherwise they are batched rotations in the
+    H eigenbasis.
+    """
+    zs = np.atleast_1d(zs)
+    for z in zs:
+        if abs(np.imag(z)) > state.guard + 1e-12:
+            raise ValueError(f"|Im z| = {abs(np.imag(z))} exceeds guard strip "
+                             f"{state.guard}")
     Xm = X.matrix if isinstance(X, LatticeOperator) else sp.csr_matrix(X)
-    logu = 1j * z * state.log_p  # rho^{iz} eigenvalues = exp(logu)
-    spread = np.max(logu.real) - np.min(logu.real)
-    if spread > np.log(CONDITION_LIMIT):
-        warnings.warn(
-            f"modular flow at z={z}: eigenvalue ratio exp({spread:.1f}) "
-            "exceeds 1e12 after powering", ConditionWarning, stacklevel=2)
+    D = state.dim
+    logu = 1j * zs[:, None] * state.log_p[None, :]  # rho^{iz} eigenvalues = exp(logu)
+    spread = np.max(logu.real, axis=1) - np.min(logu.real, axis=1)
+    for z, s in zip(zs, spread):
+        if s > np.log(CONDITION_LIMIT):
+            warnings.warn(
+                f"modular flow at z={z}: eigenvalue ratio exp({s:.1f}) "
+                "exceeds 1e12 after powering", ConditionWarning, stacklevel=2)
+    u = np.exp(logu)
     if state.diagonal:
-        u = np.exp(logu)
         coo = Xm.tocoo()
-        data = coo.data * u[coo.row] / u[coo.col]
-        out = sp.csr_matrix((data, (coo.row, coo.col)), shape=Xm.shape)
+        data = coo.data * u[:, coo.row] / u[:, coo.col]
+        cols = np.broadcast_to(coo.row * D + coo.col, data.shape)
     else:
         Xe = state.to_eigenbasis(Xm)
-        u = np.exp(logu)
-        out = sp.csr_matrix(state.from_eigenbasis((u[:, None] / u[None, :]) * Xe))
+        V = state.eigvecs
+        data = np.empty((len(zs), D * D), dtype=complex)
+        step = max(1, FLOW_BATCH // (D * D))
+        for lo in range(0, len(zs), step):
+            ub = u[lo:lo + step]
+            rot = V @ ((ub[:, :, None] / ub[:, None, :]) * Xe) @ V.conj().T
+            data[lo:lo + step] = rot.reshape(-1, D * D)
+        cols = np.broadcast_to(np.arange(D * D), data.shape)
+    keep = np.abs(data) >= PRUNE_TOL
+    indptr = np.concatenate([[0], np.cumsum(keep.sum(axis=1))])
+    return sp.csr_matrix((data[keep], cols[keep], indptr),
+                         shape=(len(zs), D * D))
+
+
+def modular_flow(X, state: GibbsState, z: complex) -> LatticeOperator:
+    """alpha_z(X) = rho^(iz) X rho^(-iz), guarded on the imaginary strip:
+    the one-row case of `modular_flows`."""
+    lattice = X.lattice if isinstance(X, LatticeOperator) else state.lattice
+    out = modular_flows(X, state, [z]).reshape((state.dim, state.dim))
     support = X.support if (isinstance(X, LatticeOperator) and state.product) \
         else frozenset(range(lattice.n_sites))
     label = f"alpha_{z}({X.label})" if isinstance(X, LatticeOperator) else ""
-    return LatticeOperator(_prune(out), support, lattice, label)
-
-
-@dataclass
-class ModularFlow:
-    """Callable wrapper around modular_flow for a fixed state."""
-
-    state: GibbsState
-
-    def __call__(self, X, z: complex) -> LatticeOperator:
-        return modular_flow(X, self.state, z)
+    return LatticeOperator(out, support, lattice, label)
 
 
 def eigen_detect(X, state: GibbsState, tol: float = 1e-9) -> float | None:

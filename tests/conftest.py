@@ -1,5 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import settings
+
+# property tests run the same examples on every run
+settings.register_profile("deterministic", derandomize=True, deadline=None)
+settings.load_profile("deterministic")
 
 from fockdirichlet import (AdmissibleKernel, KmsMetric, LatticeConfig,
                            gibbs_state, site_operator)

@@ -190,3 +190,31 @@ def test_remaining_experiments_smoke(tmp_path):
         assert len(section["clean_eigenvalues"]) == 3
         assert section["clean_gap"] == pytest.approx(
             2.0 * np.sinh(0.5) * AdmissibleKernel().fourier(0.0).real, abs=1e-10)
+
+
+@pytest.mark.parametrize("experiment", ["heat", "decay"])
+def test_heat_and_decay_assemble_with_the_run_seed(tmp_path, monkeypatch,
+                                                   experiment):
+    from fockdirichlet import analysis
+    seeds = []
+    real = analysis.assemble_generator
+
+    def recording(*args, **kwargs):
+        seeds.append(kwargs.get("seed"))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(analysis, "assemble_generator", recording)
+    if experiment == "heat":
+        model = {"kind": "z_power", "beta": 1.0,
+                 "lattice": {"dims": 1, "extent": 2, "geometry": "chain",
+                             "n_max": 2}}
+        cfg = load_config(str(write_config(tmp_path, experiment="heat",
+                                           model=model)))
+    else:
+        cfg = load_config(str(write_config(
+            tmp_path, experiment="decay",
+            params={"lengths": [8], "cross_check_length": 3})))
+    status, report = run_scenario(cfg, out_dir=str(tmp_path / "out"), seed=5)
+    assert status == 0
+    assert report["seed"] == 5
+    assert seeds == [5]

@@ -7,9 +7,11 @@ from fockdirichlet import (AdmissibleKernel, DerivationDirection, KmsMetric,
                            LatticeConfig, adjoint_derivation_super,
                            assemble_generator, commutator, derivation_super,
                            dirichlet_energy, gamma1, gamma1_closed_form,
-                           gamma1_contour_form, gibbs_state, identity_operator,
-                           kms_inner, modular_flow, semigroup_apply,
-                           site_operator, spectral_gap, vec, unvec)
+                           gamma1_contour_form, generator_kernel, gibbs_state,
+                           identity_operator, modular_flow, modular_flows,
+                           semigroup_apply, site_operator, spectral_gap, vec,
+                           unvec)
+from fockdirichlet.models import ModelSpec, build_model
 from fockdirichlet.dirichlet import left_mult, right_mult
 
 from conftest import random_op
@@ -179,7 +181,7 @@ def test_energy_examples(single_mode, kernel):
     assert dirichlet_energy(identity_operator(lat), K) == pytest.approx(0.0, abs=1e-12)
     # E(N) = 2 eta0 ||A||_omega^2 (both derivation squares coincide)
     eta0 = kernel.fourier(0.0).real
-    expect = 2 * eta0 * kms_inner(a, a, metric).real
+    expect = 2 * eta0 * metric.inner(a, a).real
     assert dirichlet_energy(n_op, K) == pytest.approx(expect, abs=1e-10)
     # dense superoperator oracle
     f = n_op
@@ -363,3 +365,53 @@ def test_krylov_nonconvergence_reported(single_mode, kernel, rng):
     f = random_op(rng, lat)
     with pytest.raises(KrylovError):
         semigroup_apply(K, f, 3.0, max_krylov=3)
+
+
+# --------------------------------------------------------------------------
+# the shared assembly kernel
+# --------------------------------------------------------------------------
+
+@pytest.mark.parametrize("kind", ["diagonal", "g_model"])
+def test_kernel_single_triple_is_adjoint_times_derivation(kind, single_mode, rng):
+    # oracle: one flow triple at a real time t, fed with C = [[1]], equals
+    # delta*_{alpha_t(X)} delta_{alpha_t(X)} from the public superoperators
+    if kind == "diagonal":
+        lat, state, metric = single_mode
+        X = site_operator(lat, "a", 0) + random_op(rng, lat) * 0.2
+    else:
+        lat = LatticeConfig(1, 1, "chain", 1.0, 3)
+        built = build_model(ModelSpec("g_model", lat,
+                                      params={"kappa": np.sqrt(2), "xi": 1.0}))
+        state, metric, X = built.state, built.metric, built.directions[0].X
+        assert not state.diagonal
+    D = state.dim
+    for t in rng.uniform(-3.0, 3.0, size=2):
+        Xt = modular_flow(X, state, t)
+        oracle = (adjoint_derivation_super(Xt, metric).matrix
+                  @ derivation_super(Xt).matrix)
+        feed = (modular_flows(X.dag(), state, [t - 0.5j]),
+                modular_flows(X.dag(), state, [t + 0.5j]),
+                modular_flows(X, state, [t]), [[1.0]])
+        K = generator_kernel([feed], D)
+        assert abs(K - oracle).max() < 1e-12 * max(1.0, abs(oracle).max())
+
+
+def test_kernel_sums_feeds_with_coefficients(two_site, rng):
+    # a full C couples every (k, l) pair; two feeds add
+    lat, state, metric = two_site
+    ops = [site_operator(lat, "a", 0), site_operator(lat, "adag", 1),
+           random_op(rng, lat) * 0.3]
+    C = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    Wm = [modular_flow(op.dag(), state, -0.5j) for op in ops]
+    Wp = [modular_flow(op.dag(), state, 0.5j) for op in ops]
+    oracle = 0
+    for k in range(3):
+        dstar = 1j * (right_mult(Wm[k]) - left_mult(Wp[k]))
+        for l in range(3):
+            oracle = oracle + C[k, l] * (dstar @ derivation_super(ops[l]).matrix)
+    D = lat.dim
+    stack = lambda mats: sp.vstack([m.matrix.reshape((1, D * D)) for m in mats],
+                                   format="csr")
+    feed = (stack(Wm), stack(Wp), stack(ops), C)
+    K = generator_kernel([feed, feed], D)
+    assert abs(K - 2 * oracle).max() < 1e-12 * abs(oracle).max()

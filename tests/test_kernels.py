@@ -1,14 +1,14 @@
 import numpy as np
 import pytest
 
-from fockdirichlet import AdmissibleKernel, admissibility_report, kernel_fourier
+from fockdirichlet import AdmissibleKernel, admissibility_report
 
 
 def test_fourier_closed_form_values():
     k = AdmissibleKernel()
-    assert kernel_fourier(k, 0.0).real == pytest.approx(0.5, abs=1e-14)
-    assert kernel_fourier(k, 2.0).real == pytest.approx(0.5 / np.cosh(0.5), abs=1e-14)
-    assert kernel_fourier(k, 2.0).real == pytest.approx(0.443409, abs=5e-7)
+    assert k.fourier(0.0).real == pytest.approx(0.5, abs=1e-14)
+    assert k.fourier(2.0).real == pytest.approx(0.5 / np.cosh(0.5), abs=1e-14)
+    assert k.fourier(2.0).real == pytest.approx(0.443409, abs=5e-7)
 
 
 def test_fourier_quadrature_agreement():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from fockdirichlet import (KmsMetric, LatticeConfig, commutator, eigen_detect,
-                           gibbs_state, kms_inner, lp_norm, modular_flow,
+                           gibbs_state, lp_norm, modular_flow, modular_flows,
                            site_operator)
 from fockdirichlet.state import ConditionWarning, decompose_modular
 
@@ -55,7 +55,7 @@ def test_state_invariants(single_mode, rng):
 def test_kms_inner_examples(single_mode):
     lat, state, metric = single_mode
     one = site_operator(lat, "n", 0) * 0 + 1.0
-    assert kms_inner(one, one, metric) == pytest.approx(1.0)
+    assert metric.inner(one, one) == pytest.approx(1.0)
     lat2 = LatticeConfig(1, 1, "chain", 1.0, 2)
     st2 = gibbs_state(site_operator(lat2, "n", 0), 1.0)
     m2 = KmsMetric(st2)
@@ -63,9 +63,9 @@ def test_kms_inner_examples(single_mode):
     Z = 1 + np.exp(-1) + np.exp(-2)
     # oracle: sum_n (n+1) exp(-beta(2n+1)/2) / Z over the levels below cutoff
     expect = sum((n + 1) * np.exp(-(2 * n + 1) / 2) for n in range(2)) / Z
-    assert kms_inner(a2, a2, m2) == pytest.approx(expect, abs=1e-12)
+    assert m2.inner(a2, a2) == pytest.approx(expect, abs=1e-12)
     assert expect == pytest.approx(0.7003597, abs=5e-7)
-    assert abs(kms_inner(a2, a2.dag(), m2)) < 1e-14
+    assert abs(m2.inner(a2, a2.dag())) < 1e-14
 
 
 def test_kms_cross_identity(single_mode, rng):
@@ -88,7 +88,7 @@ def test_lp_norm_examples():
     a = site_operator(lat, "a", 0)
     m = KmsMetric(st)
     assert lp_norm(a, st, 2, 0.5) == pytest.approx(
-        np.sqrt(kms_inner(a, a, m).real), abs=1e-10)
+        np.sqrt(m.inner(a, a).real), abs=1e-10)
     n_op = site_operator(lat, "n", 0)
     Z = 1 + np.exp(-1) + np.exp(-2)
     assert lp_norm(n_op, st, 1, 0.5) == pytest.approx(
@@ -176,12 +176,49 @@ def test_decompose_modular_product_state(two_site):
     assert sorted(w for _, w in comps) == pytest.approx([-1.0, 1.0])
 
 
-def test_modular_flow_wrapper(single_mode):
-    from fockdirichlet import ModularFlow
-    lat, state, _ = single_mode
+def _mixed_state():
+    """Non-diagonal Gibbs state: H = N + 0.4 (A + A*) on one mode."""
+    lat = LatticeConfig(1, 1, "chain", 1.0, 3)
     a = site_operator(lat, "a", 0)
-    flow = ModularFlow(state)
-    assert (flow(a, 0.3) - modular_flow(a, state, 0.3)).fro_norm() < 1e-14
+    H = site_operator(lat, "n", 0) + (a + a.dag()) * 0.4
+    return lat, gibbs_state(H, 0.8), a
+
+
+def test_modular_flow_wrapper(single_mode, rng):
+    # modular_flow wraps the one-row case of the stacked flow; each row of a
+    # stack equals the single flow and rho^(iz) X rho^(-iz) from dense powers,
+    # for a diagonal and a non-diagonal state
+    lat, diag_state, _ = single_mode
+    mixed_lat, mixed_state, mixed_a = _mixed_state()
+    assert diag_state.diagonal and not mixed_state.diagonal
+    zs = [0.0, 0.37, -1.2 + 0.5j, 0.8 - 0.5j, 0.25j]
+    for state, X in ((diag_state, site_operator(lat, "a", 0) + random_op(rng, lat) * 0.1),
+                     (mixed_state, mixed_a)):
+        D = state.dim
+        stack = modular_flows(X, state, zs)
+        assert stack.shape == (len(zs), D * D)
+        for n, z in enumerate(zs):
+            row = stack[n].toarray().reshape(D, D)
+            left, right = (np.asarray(state.power(w).todense()) if state.diagonal
+                           else state.power(w) for w in (1j * z, -1j * z))
+            dense = left @ X.toarray() @ right
+            assert np.max(np.abs(row - modular_flow(X, state, z).toarray())) < 1e-14
+            assert np.max(np.abs(row - dense)) < 1e-12
+
+
+def test_stacked_flow_guard_and_condition_warning():
+    lat = LatticeConfig(1, 1, "chain", 1.0, 8)
+    st = gibbs_state(site_operator(lat, "n", 0), 4.0)
+    a = site_operator(lat, "a", 0)
+    with pytest.raises(ValueError, match="exceeds guard strip"):
+        modular_flows(a, st, [0.2, 1.5j])
+    with pytest.warns(ConditionWarning) as rec:
+        modular_flows(a, st, [0.1, 0.99j, -0.99j])
+    assert len(rec) == 2
+    import warnings
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        modular_flows(a, st, [0.1, 0.3j])
 
 
 def test_lp_norm_odd_power_oracle(single_mode, rng):
