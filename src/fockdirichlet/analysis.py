@@ -567,6 +567,58 @@ class LRReport:
     short_time_ratio: float           # B(t,0)/(t * first-order oracle) at small t
     c_phi: float
     metadata: dict = field(default_factory=dict)
+    sectors: dict = field(default_factory=dict)   # block structure, for the sidecar
+
+
+def sector_sizes(n_sites: int, n_max: int) -> list[int]:
+    """Dimensions of the total-particle-number sectors 0 .. n_sites * n_max,
+    the coefficients of (1 + x + ... + x^n_max)^n_sites."""
+    sizes = [1]
+    for _ in range(n_sites):
+        sizes = [sum(sizes[max(0, k - n_max):k + 1])
+                 for k in range(len(sizes) + n_max)]
+    return sizes
+
+
+def lieb_robinson_bytes(chain_length: int, n_max: int) -> int:
+    """Bytes of the dense complex blocks `lieb_robinson_probe` holds: per
+    sector the blocks of U, its eigenvectors and the chain_length - 1 bond
+    blocks, and four families of sector n + 1 -> n blocks (a_0, a_0 in the
+    eigenbasis, alpha_t(a_0) and a commutator)."""
+    s = sector_sizes(chain_length, n_max)
+    square = sum(n * n for n in s)
+    lowering = sum(a * b for a, b in zip(s, s[1:]))
+    return 16 * ((chain_length + 1) * square + 4 * lowering)
+
+
+def _charge(op: LatticeOperator) -> int:
+    """Change of total particle number under `op`, read from its sparse
+    pattern; ValueError unless every nonzero entry changes it by the same
+    amount."""
+    n_tot = op.lattice.occupations().sum(axis=1)
+    rows, cols = op.matrix.nonzero()
+    q = np.unique(n_tot[rows] - n_tot[cols])
+    if len(q) > 1:
+        raise ValueError(f"{op.label} mixes particle-number charges {q.tolist()}")
+    return int(q[0]) if len(q) else 0
+
+
+def _sector_blocks(op: LatticeOperator, sectors, charge: int) -> list:
+    """Dense blocks op[sector n + charge, sector n] of an operator of definite
+    charge, listed by the lower of the two sector numbers."""
+    if _charge(op) != charge:
+        raise ValueError(f"{op.label} does not have particle-number charge {charge}")
+    m = op.matrix
+    lo, hi = max(0, -charge), len(sectors) - max(0, charge)
+    return [m[sectors[n + charge]][:, sectors[n]].toarray() for n in range(lo, hi)]
+
+
+def _lowering_comm_norm(phi, x) -> float:
+    """||[Phi, X]||_2 for Phi of charge 0 and X of charge -1, from their
+    blocks: the commutator maps sector n + 1 to n, its blocks occupy disjoint
+    rows and columns, so its 2-norm is the largest block 2-norm."""
+    return max(np.linalg.norm(phi[n] @ xn - xn @ phi[n + 1], 2)
+               for n, xn in enumerate(x))
 
 
 def lieb_robinson_probe(chain_length: int = 5, n_max: int = 2, *,
@@ -576,12 +628,19 @@ def lieb_robinson_probe(chain_length: int = 5, n_max: int = 2, *,
     """Commutator-norm light cone for a mollified hopping interaction.
 
     The Heisenberg evolution alpha_t(B) = e^{-i t beta U} B e^{+i t beta U}
-    is computed from the dense eigendecomposition of U = sum Phi_{j,j+1}
-    with Phi_{j,j+1} = lam (a_j a*_{j+1} + a*_j a_{j+1}) built from mollified
+    is computed from the eigendecomposition of U = sum Phi_{j,j+1} with
+    Phi_{j,j+1} = lam (a_j a*_{j+1} + a*_j a_{j+1}) built from mollified
     ladder operators.  B(t, d) = ||[Phi_O, alpha_t(a_j)]|| is tabulated over
     bonds O at distance d from site j = 0, then (C, m) are fitted by least
     squares on log B = log D + C t - m d and D is lifted so the bound holds
     at every grid point.
+
+    The hopping conserves the total particle number, also at the hard
+    cutoff, so everything is evaluated on number sectors: U and the bonds by
+    their diagonal blocks (one eigh per sector), a_0, alpha_t(a_0) and the
+    commutators by their sector n + 1 -> n blocks, and every 2-norm as the
+    largest block 2-norm, which equals the full one.  An operator without
+    the expected charge raises ValueError.
     """
     lattice = LatticeConfig(1, chain_length, "chain", 1.0, n_max)
     if chain_length < 4:
@@ -597,39 +656,36 @@ def lieb_robinson_probe(chain_length: int = 5, n_max: int = 2, *,
         U = U + b
     if not U.is_hermitian(1e-11):
         raise ValueError("interaction is not Hermitian")
-    w, V = np.linalg.eigh(U.toarray())
+    n_tot = lattice.occupations().sum(axis=1)
+    sectors = [np.flatnonzero(n_tot == n) for n in range(n_tot.max() + 1)]
+    w, V = zip(*(np.linalg.eigh(u) for u in _sector_blocks(U, sectors, 0)))
+    phis = [_sector_blocks(phi, sectors, 0) for phi in bonds]
 
-    a0 = moll[0].toarray()
-    a0_eig = V.conj().T @ a0 @ V
+    a0 = _sector_blocks(moll[0], sectors, -1)
+    a0_eig = [V[n].conj().T @ a @ V[n + 1] for n, a in enumerate(a0)]
 
     def alpha(t):
-        ph = np.exp(-1j * t * beta * w)
-        return V @ ((ph[:, None] * a0_eig) * ph.conj()[None, :]) @ V.conj().T
+        ph = [np.exp(-1j * t * beta * wn) for wn in w]
+        return [V[n] @ ((ph[n][:, None] * a) * ph[n + 1].conj()[None, :])
+                @ V[n + 1].conj().T for n, a in enumerate(a0_eig)]
 
     t_grid = np.asarray(t_grid, float)
     dists = np.arange(len(bonds))
     B = np.zeros((len(t_grid), len(bonds)))
     for it, t in enumerate(t_grid):
         at = alpha(t)
-        for d, phi in enumerate(bonds):
-            pm = phi.toarray()
-            B[it, d] = np.linalg.norm(pm @ at - at @ pm, 2)
+        for d, phi in enumerate(phis):
+            B[it, d] = _lowering_comm_norm(phi, at)
 
     # t = 0: disjoint supports commute exactly
-    t0_vals = []
-    for d, phi in enumerate(bonds):
-        if d >= 1:
-            pm = phi.toarray()
-            t0_vals.append(np.linalg.norm(pm @ a0 - a0 @ pm, 2))
-    t0_max = float(max(t0_vals)) if t0_vals else 0.0
+    t0_max = float(max(_lowering_comm_norm(phi, a0) for phi in phis[1:]))
 
     # short-time first-order check on the nearest disjoint bond, where
     # [Phi_O, a_0] = 0 and the Dyson series starts at order t
-    probe = bonds[1].toarray()
-    comm1 = commutator(U, moll[0]).toarray()
-    oracle = beta * np.linalg.norm(probe @ comm1 - comm1 @ probe, 2)
+    comm1 = _sector_blocks(commutator(U, moll[0]), sectors, -1)
+    oracle = beta * _lowering_comm_norm(phis[1], comm1)
     ts = 1e-3
-    bshort = np.linalg.norm(probe @ alpha(ts) - alpha(ts) @ probe, 2)
+    bshort = _lowering_comm_norm(phis[1], alpha(ts))
     short_ratio = float(bshort / (ts * oracle)) if oracle > 0 else float("nan")
 
     # weighted fit of log B <= log D + C t - m d on points above the floor
@@ -651,20 +707,24 @@ def lieb_robinson_probe(chain_length: int = 5, n_max: int = 2, *,
             if mask[it, d] and np.log(B[it, d]) > logD + fitC * t - fitm * d + 1e-9:
                 bound_ok = False
 
-    cphi = _interaction_constant(bonds, lattice)
+    norms = [max(np.linalg.norm(b, 2) for b in phi) for phi in phis]
+    cphi = _interaction_constant(bonds, norms, lattice)
     return LRReport(t_grid=t_grid, distances=dists, B=B,
                     fit_D=float(np.exp(logD)), fit_C=float(fitC),
                     fit_m=float(fitm), bound_ok=bound_ok, t0_max=t0_max,
                     short_time_ratio=short_ratio, c_phi=cphi,
                     metadata={"chain_length": chain_length, "n_max": n_max,
-                              "lam": lam, "epsilon": epsilon, "beta": beta})
+                              "lam": lam, "epsilon": epsilon, "beta": beta},
+                    sectors={"n_max": n_max, "count": len(sectors),
+                             "largest": max(map(len, sectors)),
+                             "dim": lattice.dim})
 
 
-def _interaction_constant(bonds, lattice: LatticeConfig, R: float = 1.0) -> float:
+def _interaction_constant(bonds, norms, lattice: LatticeConfig,
+                          R: float = 1.0) -> float:
     """c_Phi = 2 sup_O sum over multi-point Phi_{O'} with O' within distance
-    2R of O."""
+    2R of O, from the bonds' supports and 2-norms."""
     supports = [set(b.support) for b in bonds]
-    norms = [b.norm() for b in bonds]
     best = 0.0
     for O in supports:
         near = {l for l in range(lattice.n_sites)

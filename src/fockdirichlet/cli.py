@@ -133,12 +133,15 @@ def _kernel_from(cfg: dict | None) -> kernels.AdmissibleKernel:
                                     sigma=cfg.get("sigma", 0.0))
 
 
-def _check_budget(lattice: LatticeConfig, budget_mb: int, superoperator: bool):
-    need = lattice.estimate_bytes(superoperator=superoperator)
+def _check_budget(need: int, budget_mb: int, what: str):
     if need > budget_mb * 2 ** 20:
-        raise BudgetError(
-            f"estimated {need / 2**20:.0f} MiB exceeds budget {budget_mb} MiB "
-            f"(D = {lattice.dim}{', superoperator' if superoperator else ''})")
+        raise BudgetError(f"estimated {need / 2**20:.0f} MiB exceeds budget "
+                          f"{budget_mb} MiB ({what})")
+
+
+def _check_superoperator_budget(lattice: LatticeConfig, budget_mb: int):
+    _check_budget(lattice.estimate_bytes(superoperator=True), budget_mb,
+                  f"D = {lattice.dim}, superoperator")
 
 
 def _jsonable(x):
@@ -188,10 +191,11 @@ def run_scenario(cfg: dict, out_dir: str = ".", seed: int | None = None,
         "sign_convention": "assembled generator is -L (PSD); P_t = exp(-t(-L))",
     }
     csv_rows = None
+    meta: dict = {}   # run facts for the sidecar, kept out of the report
     passed = True
 
     if experiment == "verify":
-        _check_budget(lattice, budget_mb, superoperator=True)
+        _check_superoperator_budget(lattice, budget_mb)
 
         def verify_at(sp):
             rep = verify_algebra(sp)
@@ -222,7 +226,7 @@ def run_scenario(cfg: dict, out_dir: str = ".", seed: int | None = None,
             "all_passed": all(c["passed"] for c in rerun)}
         passed = all(c["passed"] for c in checks)
     elif experiment == "gap":
-        _check_budget(lattice, budget_mb, superoperator=True)
+        _check_superoperator_budget(lattice, budget_mb)
 
         def gap_at(sp):
             built = build_model(sp)
@@ -270,7 +274,7 @@ def run_scenario(cfg: dict, out_dir: str = ".", seed: int | None = None,
         lo, hi = params.get("exponent_range", (-1.1, -0.9))
         passed = lo <= rep.exponent <= hi and rep.e_over_boundary_spread < 0.10
     elif experiment == "heat":
-        _check_budget(lattice, budget_mb, superoperator=True)
+        _check_superoperator_budget(lattice, budget_mb)
         rep = analysis.heat_comparison(lattice, beta=spec.beta if spec else 1.0,
                                        kernel=kernel,
                                        edges=params.get("edges", "ordered"),
@@ -318,17 +322,24 @@ def run_scenario(cfg: dict, out_dir: str = ".", seed: int | None = None,
         if rep.cross_check is not None:
             passed = passed and rep.cross_check.trajectory_deviation <= 1e-6
     elif experiment == "lieb-robinson":
+        length, n_max = params.get("chain_length", 5), params.get("n_max", 2)
+        _check_budget(max(analysis.lieb_robinson_bytes(length, n)
+                          for n in (n_max, n_max + 1)), budget_mb,
+                      f"sector blocks, chain {length}, n_max {n_max} and "
+                      f"{n_max + 1}")
+
         def lr_at(n_max):
             return analysis.lieb_robinson_probe(
-                chain_length=params.get("chain_length", 5),
+                chain_length=length,
                 n_max=n_max, lam=params.get("lambda", 0.5),
                 epsilon=params.get("epsilon", 1.0), beta=params.get("beta", 1.0),
                 t_grid=tuple(params.get("t_grid", (0.25, 0.5, 0.75, 1.0, 1.5))))
 
-        rep = lr_at(params.get("n_max", 2))
-        rerun = lr_at(params.get("n_max", 2) + 1)
+        rep = lr_at(n_max)
+        rerun = lr_at(n_max + 1)
+        meta["lieb_robinson_sectors"] = [rep.sectors, rerun.sectors]
         report["truncation_sensitivity"] = {
-            "n_max": params.get("n_max", 2) + 1,
+            "n_max": n_max + 1,
             "fit": {"D": rerun.fit_D, "C": rerun.fit_C, "m": rerun.fit_m}}
         report["lieb_robinson"] = _jsonable({
             "t_grid": rep.t_grid, "distances": rep.distances, "B": rep.B,
@@ -360,18 +371,19 @@ def run_scenario(cfg: dict, out_dir: str = ".", seed: int | None = None,
         raise ValueError(experiment)
 
     report["passed"] = bool(passed)
-    _write_outputs(cfg, report, csv_rows, out_dir)
+    _write_outputs(cfg, report, csv_rows, out_dir, meta)
     return (0 if passed else 1), report
 
 
-def _write_outputs(cfg: dict, report: dict, csv_rows, out_dir: str):
+def _write_outputs(cfg: dict, report: dict, csv_rows, out_dir: str,
+                   meta: dict):
     out = cfg.get("output", {})
     outp = Path(out_dir)
     outp.mkdir(parents=True, exist_ok=True)
     json_name = out.get("json", "report.json")
     path = outp / json_name
     path.write_text(json.dumps(_jsonable(report), sort_keys=True, indent=2) + "\n")
-    meta = {"timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z")}
+    meta = {"timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"), **meta}
     (outp / (json_name + ".meta.json")).write_text(json.dumps(meta) + "\n")
     if csv_rows and "csv" in out:
         with open(outp / out["csv"], "w", newline="") as fh:

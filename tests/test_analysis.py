@@ -8,6 +8,7 @@ from fockdirichlet import (AdmissibleKernel, DerivationDirection, LatticeConfig,
                            lieb_robinson_probe, polynomial_decay_probe,
                            quadratic_form_energy, rayleigh_scaling,
                            site_operator, spectral_gap)
+from fockdirichlet.analysis import _charge, _sector_blocks, sector_sizes
 
 
 # --------------------------------------------------------------------------
@@ -209,6 +210,68 @@ def test_lieb_robinson_probe():
 def test_lieb_robinson_rejects_short_chain():
     with pytest.raises(ValueError):
         lieb_robinson_probe(3, 2)
+
+
+@pytest.mark.parametrize("L", [4, 5])
+def test_lieb_robinson_probe_matches_dense_expm_oracle(L):
+    """Every B(t, d), t0_max, the short-time ratio and c_phi against a dense
+    evolution of mollified ladders built with np.kron on the whole space."""
+    n_max, lam, eps, beta = 2, 0.5, 1.0, 1.0
+    t_grid = (0.25, 0.5, 0.75, 1.0, 1.5)
+    d = n_max + 1
+    a1 = (np.diag(1.0 / (1.0 + eps * np.sqrt(np.arange(d))))
+          @ np.diag(np.sqrt(np.arange(1, d)), 1))
+    a = [np.kron(np.kron(np.eye(d ** s), a1), np.eye(d ** (L - s - 1)))
+         for s in range(L)]
+    bonds = [lam * (a[j] @ a[j + 1].T + a[j].T @ a[j + 1]) for j in range(L - 1)]
+    U = sum(bonds)
+
+    def norm(x):
+        return np.linalg.norm(x, 2)
+
+    def comm(x, y):
+        return x @ y - y @ x
+
+    def alpha(t):
+        Ut = expm(-1j * t * beta * U)
+        return Ut @ a[0] @ Ut.conj().T
+
+    B = np.array([[norm(comm(phi, alpha(t))) for phi in bonds] for t in t_grid])
+    t0 = max(norm(comm(phi, a[0])) for phi in bonds[1:])
+    ts = 1e-3
+    ratio = (norm(comm(bonds[1], alpha(ts)))
+             / (ts * beta * norm(comm(bonds[1], comm(U, a[0])))))
+    # bond j' lies within distance 2 of bond j exactly when |j' - j| <= 2
+    bn = [norm(phi) for phi in bonds]
+    c_phi = 2 * max(sum(bn[max(0, j - 2):j + 3]) for j in range(L - 1))
+
+    rep = lieb_robinson_probe(L, n_max, lam=lam, epsilon=eps, beta=beta,
+                              t_grid=t_grid)
+    np.testing.assert_allclose(rep.B, B, rtol=1e-10, atol=0)
+    assert rep.t0_max == pytest.approx(t0, rel=1e-10, abs=0)
+    assert rep.short_time_ratio == pytest.approx(ratio, rel=1e-10, abs=0)
+    assert rep.c_phi == pytest.approx(c_phi, rel=1e-10, abs=0)
+
+
+def test_particle_number_charge_guard():
+    lat = LatticeConfig(1, 3, "chain", 1.0, 2)
+    a = [site_operator(lat, "a", j) for j in range(3)]
+    U = a[0] @ a[1].dag() + a[0].dag() @ a[1] + a[1] @ a[2].dag() + a[1].dag() @ a[2]
+    assert _charge(U) == 0
+    assert _charge(site_operator(lat, "n", 1)) == 0
+    assert _charge(a[1]) == -1
+    assert _charge(site_operator(lat, "adag", 1)) == 1
+    with pytest.raises(ValueError, match="mixes"):
+        _charge(a[1] + a[1].dag())
+    n_tot = lat.occupations().sum(axis=1)
+    assert np.bincount(n_tot).tolist() == sector_sizes(3, 2)
+    sectors = [np.flatnonzero(n_tot == n) for n in range(n_tot.max() + 1)]
+    with pytest.raises(ValueError, match="charge 0"):
+        _sector_blocks(a[1], sectors, 0)
+    # a_1 maps sector n + 1 to n: one block per pair of adjacent sectors
+    blocks = _sector_blocks(a[1], sectors, -1)
+    assert [b.shape for b in blocks] == [(len(sectors[n]), len(sectors[n + 1]))
+                                         for n in range(len(sectors) - 1)]
 
 
 def test_gap_iterative_solver_agrees_with_dense(kernel):

@@ -77,6 +77,36 @@ def test_budget_refusal(tmp_path):
                  "--budget-mb", "64"]) == 3
 
 
+def test_lieb_robinson_budget_refusal(tmp_path, monkeypatch):
+    from fockdirichlet import analysis
+
+    def probe(*args, **kwargs):
+        raise AssertionError("the probe ran on an over-budget config")
+
+    monkeypatch.setattr(analysis, "lieb_robinson_probe", probe)
+    p = tmp_path / "lr6.json"
+    p.write_text(json.dumps({"schema_version": 1, "experiment": "lieb-robinson",
+                             "params": {"chain_length": 6, "n_max": 3}}))
+    assert main(["--config", str(p), "--out", str(tmp_path),
+                 "--budget-mb", "1"]) == 3
+
+
+def test_shipped_lieb_robinson_scenario(tmp_path):
+    cfg = load_config(str(Path(__file__).parents[1] / "scenarios"
+                          / "lieb_robinson_chain5.json"))
+    status, report = run_scenario(cfg, out_dir=str(tmp_path))
+    assert status == 0
+    assert report["passed"]
+    assert report["truncation_sensitivity"]["n_max"] == 3
+    # the probe's block structure goes to the sidecar, not the report
+    meta = json.loads((tmp_path / "lieb_robinson_report.json.meta.json")
+                      .read_text())
+    assert meta["lieb_robinson_sectors"] == [
+        {"n_max": 2, "count": 11, "largest": 51, "dim": 243},
+        {"n_max": 3, "count": 16, "largest": 155, "dim": 1024}]
+    assert "sectors" not in json.dumps(report)
+
+
 def test_nmax_override(tmp_path):
     cfg = load_config(str(write_config(tmp_path)))
     status, report = run_scenario(cfg, out_dir=str(tmp_path / "o"),
