@@ -26,7 +26,7 @@ from .dirichlet import Superoperator, assemble_generator, semigroup_apply, vec
 from .fock import (LatticeConfig, LatticeOperator, clean_projector, commutator,
                    identity_operator, mollify, site_operator)
 from .kernels import AdmissibleKernel
-from .models import ModelSpec, build_model
+from .models import PRODUCT_KINDS, ModelSpec, build_model
 from .state import KmsMetric, decompose_modular
 
 DENSE_GAP_LIMIT = 16384  # superoperator dimension D^2 up to which eigh is used
@@ -200,40 +200,41 @@ def spectral_gap(L: Superoperator, metric: KmsMetric | None = None,
 # quadratic-form energies without superoperator assembly
 # --------------------------------------------------------------------------
 
-def quadratic_form_energy(directions, metric: KmsMetric,
-                          kernel: AdmissibleKernel, f) -> float:
-    """E(f) = <f, -L f> evaluated directly from modular eigencomponents,
-    without assembling the D^2 x D^2 generator."""
-    state = metric.state
-    beta = state.beta
-    total = 0.0 + 0.0j
-
-    def delta(X, g):
-        return (X @ g - g @ X) * 1j
-
+def direction_energies(directions, metric: KmsMetric, kernel: AdmissibleKernel,
+                       f, derivation=None) -> list[float]:
+    """Per-direction terms of E(f) = <f, -L f> from the modular components
+    (X_k, w_k), without assembling the D^2 x D^2 generator:
+    nu sum_kl eta_hat((w_l - w_k) beta) <delta_{X_k} f, delta_{X_l} f>, plus
+    mu times the same over X_k* with w_k - w_l.  `derivation(X, f)` returns
+    delta_X f on the metric's lattice; the default is i [X, f].
+    """
+    derivation = derivation or (lambda X, g: (X @ g - g @ X) * 1j)
+    beta = metric.state.beta
+    out = []
     for direction in directions:
         comps = direction.components
         if comps is None:
-            comps = decompose_modular(direction.X, state)
-        if not comps:
-            continue
-        if direction.nu:
-            dfs = [delta(X, f) for X, _ in comps]
+            comps = decompose_modular(direction.X, metric.state)
+        total = 0.0 + 0.0j
+        for weight, sign, ops in ((direction.nu, 1.0, [X for X, _ in comps]),
+                                  (direction.mu, -1.0, [X.dag() for X, _ in comps])):
+            if not weight:
+                continue
+            dfs = [derivation(X, f) for X in ops]
             for k, (_, wk) in enumerate(comps):
                 for l, (_, wl) in enumerate(comps):
-                    coef = kernel.fourier((wl - wk) * beta)
+                    coef = kernel.fourier(sign * (wl - wk) * beta)
                     if coef == 0:
                         continue
-                    total += direction.nu * coef * metric.inner(dfs[k], dfs[l])
-        if direction.mu:
-            dfs = [delta(X.dag(), f) for X, _ in comps]
-            for k, (_, wk) in enumerate(comps):
-                for l, (_, wl) in enumerate(comps):
-                    coef = kernel.fourier((wk - wl) * beta)
-                    if coef == 0:
-                        continue
-                    total += direction.mu * coef * metric.inner(dfs[k], dfs[l])
-    return float(total.real)
+                    total += weight * coef * metric.inner(dfs[k], dfs[l])
+        out.append(total.real)
+    return out
+
+
+def quadratic_form_energy(directions, metric: KmsMetric,
+                          kernel: AdmissibleKernel, f) -> float:
+    """E(f) = <f, -L f>, the sum of `direction_energies`."""
+    return float(sum(direction_energies(directions, metric, kernel, f)))
 
 
 # --------------------------------------------------------------------------
@@ -253,20 +254,61 @@ class ScalingReport:
 
 
 def _working_block(eval_lattice: LatticeConfig, n_max: int) -> np.ndarray:
-    """Indices of eval-lattice basis states with every occupation <= n_max.
-
-    The sub-basis keeps its lexicographic order, which matches the basis
-    order of the n_max working lattice.
-    """
+    """Indices of eval-lattice basis states with every occupation <= n_max:
+    the site-by-site compression to the working levels, in the basis order
+    of the n_max lattice."""
     occ = eval_lattice.occupations()
     return np.flatnonzero(np.all(occ <= n_max, axis=1))
 
 
-def _headroom_delta(X, F, keep) -> sp.coo_matrix:
-    """i [X, F] evaluated with cutoff headroom, compressed to the working
-    block, where it equals the untruncated commutator."""
-    m = 1j * (X.matrix @ F.matrix - F.matrix @ X.matrix)
-    return sp.coo_matrix(m.tocsr()[np.ix_(keep, keep)])
+def _site_sum(lattice: LatticeConfig, kind: str, sites) -> LatticeOperator | None:
+    terms = [site_operator(lattice, kind, j) for j in sites]
+    return sum(terms[1:], terms[0]) if terms else None
+
+
+class _ChainForms:
+    """Window-sum energy terms on one open chain of `n_sites`.
+
+    The directions are built with `margin` levels of cutoff headroom and
+    carry their modular components (analytic where the model gives them,
+    else decomposed under the headroom state); the state is built at n_max.
+    Each derivation i [X, F] is evaluated with the headroom and compressed
+    site by site to the n_max levels, where it equals the untruncated
+    commutator.
+    """
+
+    def __init__(self, kind, n_sites, *, n_max, margin, kernel, test_op,
+                 **model):
+        self.n_sites, self.kernel, self.test_op = n_sites, kernel, test_op
+        self.eval, work = (LatticeConfig(1, n_sites, "chain", 1.0, levels)
+                           for levels in (n_max + margin, n_max))
+        built = build_model(ModelSpec(kind, self.eval, **model))
+        for d, orbit in zip(built.directions, built.orbits):
+            if d.components is None:
+                d.components = orbit or decompose_modular(
+                    d.X, built.state, max_components=256)
+        self.directions = built.directions
+        self.metric = build_model(ModelSpec(kind, work, **model)).metric
+        self.keep = np.ix_(*2 * [_working_block(self.eval, n_max)])
+        self.cache: dict[tuple, list[float]] = {}
+
+    def derivation(self, X, F):
+        m = 1j * (X.matrix @ F.matrix - F.matrix @ X.matrix)
+        return LatticeOperator(m.tocsr()[self.keep], frozenset(),
+                               self.metric.state.lattice)
+
+    def energies(self, sites: tuple) -> list[float]:
+        """Per-direction energy terms of F = sum_{j in sites} T_j."""
+        if sites not in self.cache:
+            F = _site_sum(self.eval, self.test_op, sites)
+            self.cache[sites] = [0.0] * len(self.directions) if F is None \
+                else direction_energies(self.directions, self.metric,
+                                        self.kernel, F, self.derivation)
+        return self.cache[sites]
+
+    def variance(self, sites) -> float:
+        return self.metric.variance(
+            _site_sum(self.metric.state.lattice, self.test_op, sites))
 
 
 def rayleigh_scaling(kind: str, test: str, sizes, *, n_max: int = 1,
@@ -282,71 +324,51 @@ def rayleigh_scaling(kind: str, test: str, sizes, *, n_max: int = 1,
     The hard cutoff breaks [A, A*] = 1 on the top level, which would feed
     every interior bond a spurious surface term; the derivations are
     therefore evaluated with `margin` extra levels of headroom and then
-    compressed to the n_max block, where they equal the untruncated
+    compressed to the n_max levels, where they equal the untruncated
     commutators.  The state truncation enters only through its moments.
     `margin` must cover the creation degree of the direction operators
     (1 for the nearest-neighbour difference fields; len(J) for shifted
     monomial directions).
+
+    For the product-state kinds (models.PRODUCT_KINDS) the directions of the
+    padded chain are translates of those on the shortest chain that carries
+    one, and the KMS forms factorise over sites: each translate's terms are
+    computed on that short chain against the window sites it covers, and
+    Var(F_n) = n Var(T_0).  Other kinds use the whole chain.
+    `boundary_counts` counts the directions with a nonzero energy term.
     """
     kernel = kernel or AdmissibleKernel()
-    params = dict(params or {})
     sizes = list(sizes)
     if test not in ("sum_adag", "sum_n"):
         raise ValueError(f"unknown test sequence {test!r}")
-    kind_op = "adag" if test == "sum_adag" else "n"
+    offset = 0 if kind == "mean_field" else pad
+
+    def chain(n_sites):
+        return _ChainForms(kind, n_sites, n_max=n_max, margin=margin,
+                           kernel=kernel, beta=beta, nu=nu, mu=mu,
+                           test_op="adag" if test == "sum_adag" else "n",
+                           params=dict(params or {}))
+
+    local = kind in PRODUCT_KINDS
+    if local:
+        for length in range(1, max(sizes) + 2 * offset + 1):
+            shapes = chain(length)
+            if shapes.directions:
+                break
+        v1 = shapes.variance([0])
     energies, variances, ratios, bcounts = [], [], [], []
     for n in sizes:
-        if kind == "mean_field":
-            # contrast experiment: whole-lattice collective direction with
-            # its analytic eigencomponent (X, +1); commutators evaluated
-            # with headroom as below, the interacting state only through
-            # its moments on the working block
-            eval_lat = LatticeConfig(1, n, "chain", 1.0, n_max + margin)
-            work_lat = LatticeConfig(1, n, "chain", 1.0, n_max)
-            keep = _working_block(eval_lat, n_max)
-            built = build_model(ModelSpec(kind, eval_lat, beta=beta, nu=nu,
-                                          mu=mu, params=params))
-            direction = built.directions[0]
-            direction.components = built.orbits[0]
-            work_state = build_model(ModelSpec(kind, work_lat, beta=beta,
-                                               nu=nu, mu=mu, params=params)).state
-            metric = KmsMetric(work_state)
-            F_eval = None
-            F_work = None
-            for j in range(n):
-                te = site_operator(eval_lat, kind_op, j)
-                tw = site_operator(work_lat, kind_op, j)
-                F_eval = te if F_eval is None else F_eval + te
-                F_work = tw if F_work is None else F_work + tw
-            E, active = _headroom_energy([direction], built.state, work_state,
-                                         metric, kernel, F_eval, keep, work_lat)
-            var = metric.variance(F_work)
-        else:
-            n_sites = n + 2 * pad
-            window = list(range(pad, pad + n))
-            eval_lat = LatticeConfig(1, n_sites, "chain", 1.0, n_max + margin)
-            work_lat = LatticeConfig(1, n_sites, "chain", 1.0, n_max)
-            keep = _working_block(eval_lat, n_max)
-            built = build_model(ModelSpec(kind, eval_lat, beta=beta, nu=nu,
-                                          mu=mu, params=params))
-            work_state = build_model(ModelSpec(kind, work_lat, beta=beta,
-                                               nu=nu, mu=mu, params=params)).state
-            metric = KmsMetric(work_state)
-            F_eval = None
-            F_work = None
-            for j in window:
-                te = site_operator(eval_lat, kind_op, j)
-                tw = site_operator(work_lat, kind_op, j)
-                F_eval = te if F_eval is None else F_eval + te
-                F_work = tw if F_work is None else F_work + tw
-            E, active = _headroom_energy(built.directions, built.state,
-                                         work_state, metric, kernel, F_eval,
-                                         keep, work_lat)
-            var = metric.variance(F_work)
-        energies.append(E)
-        variances.append(var)
-        ratios.append(E / var)
-        bcounts.append(active)
+        n_sites = n + 2 * offset
+        forms = shapes if local else chain(n_sites)
+        terms = []
+        for t in range(n_sites - forms.n_sites + 1):
+            terms += forms.energies(tuple(j for j in range(forms.n_sites)
+                                          if offset <= j + t < offset + n))
+        energies.append(sum(terms))
+        variances.append(n * v1 if local else
+                         forms.variance(range(offset, offset + n)))
+        ratios.append(energies[-1] / variances[-1])
+        bcounts.append(sum(abs(c) > 1e-14 for c in terms))
     logn = np.log(np.asarray(sizes, float))
     exponent = float(np.polyfit(logn, np.log(np.asarray(ratios)), 1)[0])
     eb = [e / max(b, 1) for e, b in zip(energies, bcounts)]
@@ -356,44 +378,6 @@ def rayleigh_scaling(kind: str, test: str, sizes, *, n_max: int = 1,
                          boundary_counts=bcounts, e_over_boundary_spread=spread,
                          metadata={"kind": kind, "test": test, "n_max": n_max,
                                    "beta": beta, "pad": pad, "margin": margin})
-
-
-def _headroom_energy(directions, eval_state, work_state, metric, kernel,
-                     F_eval, keep, work_lat) -> tuple[float, int]:
-    """Quadratic-form energy with headroom-compressed derivations, plus the
-    count of directions with a nonzero contribution (the boundary measure)."""
-    from .fock import LatticeOperator
-    beta = work_state.beta
-    total = 0.0 + 0.0j
-    active = 0
-
-    def as_work(coo):
-        return LatticeOperator(sp.csr_matrix(coo), frozenset(), work_lat)
-
-    for direction in directions:
-        comps = direction.components
-        if comps is None:
-            comps = decompose_modular(direction.X, eval_state,
-                                      max_components=256)
-        contrib = 0.0 + 0.0j
-        if direction.nu:
-            dfs = [as_work(_headroom_delta(X, F_eval, keep)) for X, _ in comps]
-            for k, (_, wk) in enumerate(comps):
-                for l, (_, wl) in enumerate(comps):
-                    coef = kernel.fourier((wl - wk) * beta)
-                    contrib += direction.nu * coef * metric.inner(dfs[k], dfs[l])
-        if direction.mu:
-            dfs = [as_work(_headroom_delta(X.dag(), F_eval, keep)) for X, _ in comps]
-            for k, (_, wk) in enumerate(comps):
-                for l, (_, wl) in enumerate(comps):
-                    coef = kernel.fourier((wk - wl) * beta)
-                    contrib += direction.mu * coef * metric.inner(dfs[k], dfs[l])
-        total += contrib
-        if abs(contrib) > 1e-14:
-            active += 1
-    return float(total.real), active
-
-
 
 
 # --------------------------------------------------------------------------

@@ -142,10 +142,6 @@ class LadderPolynomial:
             out += coeff * m
         return out
 
-    def is_hermitian_on(self, A, Adag, tol=1e-12) -> bool:
-        m = self.evaluate(A, Adag)
-        return bool(np.linalg.norm(m - m.conj().T) <= tol * max(np.linalg.norm(m), 1.0))
-
 
 def number_polynomial() -> LadderPolynomial:
     return LadderPolynomial(terms=((1.0, ("c", "a")),))

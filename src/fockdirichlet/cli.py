@@ -1,7 +1,8 @@
 """Scenario runner: JSON configs in, JSON/CSV reports out.
 
 Exit codes: 0 success, 1 experiment assertion failed, 2 config/schema
-violation, 3 memory-budget refusal.
+violation (including an --nmax-override on a config without a `model`
+block, which has no lattice to override), 3 memory-budget refusal.
 
 Reports are deterministic for a fixed config and seed; the run timestamp is
 isolated in a sidecar `<report>.meta.json` so the report files themselves
@@ -94,6 +95,10 @@ class BudgetError(RuntimeError):
     pass
 
 
+class ConfigError(ValueError):
+    """A valid config that the requested run cannot apply to."""
+
+
 def _bump_nmax(spec: ModelSpec) -> ModelSpec:
     """Same model one level deeper, for truncation-sensitivity reruns."""
     lat = spec.lattice
@@ -174,6 +179,9 @@ def run_scenario(cfg: dict, out_dir: str = ".", seed: int | None = None,
 
     mcfg = cfg.get("model")
     lattice = spec = None
+    if mcfg is None and nmax_override is not None:
+        raise ConfigError(f"--nmax-override does not apply to the {experiment!r} "
+                          "config: it has no model block")
     if mcfg is not None:
         lat = dict(mcfg["lattice"])
         if nmax_override is not None:
@@ -234,8 +242,13 @@ def run_scenario(cfg: dict, out_dir: str = ".", seed: int | None = None,
                                              kernel, seed=seed)
             return analysis.spectral_gap(K, built.metric, k=params.get("k", 8))
 
+        # the ladder span carries the bottom of the spectrum only for the
+        # one-site mean-field mode; elsewhere its eigenvalues bound the gap
+        role = ("gap" if spec.kind == "mean_field" and lattice.n_sites == 1
+                else "upper_bound")
+
         def clean_fields(rep):
-            return {"clean_gap": rep.clean_gap,
+            return {"clean_gap": rep.clean_gap, "clean_gap_role": role,
                     "clean_eigenvalues": rep.clean_eigenvalues,
                     "clean_span_residual": rep.clean_span_residual}
 
@@ -400,6 +413,9 @@ def _run_one(args):
     try:
         status, _ = run_scenario(cfg, out_dir=out_dir, seed=seed,
                                  nmax_override=nmax, budget_mb=budget)
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
     except BudgetError as exc:
         print(f"budget refusal: {exc}", file=sys.stderr)
         return 3

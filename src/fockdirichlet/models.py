@@ -41,6 +41,9 @@ from .state import GibbsState, KmsMetric, gibbs_state, modular_flow
 MODEL_KINDS = ("mean_field", "mean_field_n", "z_field", "zjk_quadratic",
                "y_field", "w_ops", "z_power", "y_power", "g_model",
                "invariant_aij")
+# kinds whose state is the product Gibbs state of the number Hamiltonian
+PRODUCT_KINDS = ("z_field", "y_field", "w_ops", "z_power", "y_power",
+                 "invariant_aij")
 
 
 @dataclass
@@ -137,6 +140,8 @@ def build_model(spec: ModelSpec) -> BuiltModel:
     kind = spec.kind
     p = spec.params
     notes = []
+    if kind in PRODUCT_KINDS:
+        state = gibbs_state(_number_hamiltonian(lattice), beta, product=True)
 
     if kind in ("mean_field", "mean_field_n"):
         X = a[0] * (1.0 / np.sqrt(lattice.n_sites))
@@ -159,7 +164,6 @@ def build_model(spec: ModelSpec) -> BuiltModel:
             notes.append("orbit via the coefficient recursion; see "
                          "mean_field_n_orbit")
     elif kind in ("z_field", "y_field"):
-        state = gibbs_state(_number_hamiltonian(lattice), beta, product=True)
         kap = [complex(c) for c in p.get("kappa", (1.0,))]
         xi = [complex(c) for c in p.get("xi", kap)]
         directions, orbits = [], []
@@ -201,7 +205,6 @@ def build_model(spec: ModelSpec) -> BuiltModel:
         selfadjoint = p.get("selfadjoint", False)
         ergodic_fix = p.get("ergodic_fix", False)
         conv = p.get("edges", "ordered" if not selfadjoint else "unordered")
-        state = gibbs_state(_number_hamiltonian(lattice), beta, product=True)
         directions, orbits = [], []
         for (j, k) in edge_list(lattice, conv):
             Wjk = _pow(ad[j], n) @ _pow(a[k], m)
@@ -232,7 +235,6 @@ def build_model(spec: ModelSpec) -> BuiltModel:
         n, m = p.get("n", 1), p.get("m", 1)
         conv = p.get("edges", "ordered")
         scale = 0.5 if p.get("half", False) else 1.0
-        state = gibbs_state(_number_hamiltonian(lattice), beta, product=True)
         directions, orbits = [], []
         for (j, k) in edge_list(lattice, conv):
             if kind == "z_power":
@@ -266,7 +268,6 @@ def build_model(spec: ModelSpec) -> BuiltModel:
         notes.append(f"modular frequency of G is 2R = {2 * R:.6g} up to "
                      "truncation; eigen assembly decomposes numerically")
     elif kind == "invariant_aij":
-        state = gibbs_state(_number_hamiltonian(lattice), beta, product=True)
         I_sites = [tuple(s) if not isinstance(s, int) else (s,)
                    for s in p["sites_i"]]
         J_sites = [tuple(s) if not isinstance(s, int) else (s,)

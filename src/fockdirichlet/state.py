@@ -83,10 +83,6 @@ class GibbsState:
     def rho(self):
         return self.power(1.0)
 
-    @property
-    def sqrt_rho(self):
-        return self.power(0.5)
-
     def to_eigenbasis(self, m) -> np.ndarray:
         m = m.toarray() if sp.issparse(m) else np.asarray(m)
         if self.diagonal:

@@ -1,14 +1,18 @@
+from functools import reduce
+from operator import add
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
 from fockdirichlet import (AdmissibleKernel, DerivationDirection, LatticeConfig,
-                           ModelSpec, assemble_generator, build_model,
-                           graph_laplacian, heat_comparison,
+                           LatticeOperator, ModelSpec, assemble_generator,
+                           build_model, graph_laplacian, heat_comparison,
                            lieb_robinson_probe, polynomial_decay_probe,
                            quadratic_form_energy, rayleigh_scaling,
                            site_operator, spectral_gap)
-from fockdirichlet.analysis import _charge, _sector_blocks, sector_sizes
+from fockdirichlet.analysis import (_charge, _sector_blocks, direction_energies,
+                                    sector_sizes)
 
 
 # --------------------------------------------------------------------------
@@ -113,6 +117,78 @@ def test_aij_model_scaling(kernel):
                            params={"sites_i": [0], "sites_j": [1]})
     assert -1.1 <= rep.exponent <= -0.9
     assert rep.e_over_boundary_spread < 0.10
+
+
+@pytest.mark.parametrize("beta", [1.0, 2.0])
+@pytest.mark.parametrize("n_max", [1, 2, 3])
+def test_z_power_scaling_closed_form(kernel, n_max, beta):
+    # boundary direction (A_j - A_k)/2 with k in the window: its derivations
+    # against F = sum A*_j are 0 and -i/2 (headroom makes [A, A*] = 1 on the
+    # working block), those of its adjoint vanish; interior ones cancel
+    sizes, nu = [3, 4, 6, 9], 0.7
+    rep = rayleigh_scaling("z_power", "sum_adag", sizes, n_max=n_max,
+                           beta=beta, kernel=kernel, nu=nu,
+                           params={"n": 1, "m": 1, "half": True})
+    p = np.exp(-beta * np.arange(n_max + 1))
+    p /= p.sum()
+    v1 = sum((j + 1) * np.sqrt(p[j] * p[j + 1]) for j in range(n_max))
+    assert rep.boundary_counts == [4] * len(sizes)
+    E = 4 * nu * kernel.fourier(0.0).real / 4
+    assert np.allclose(rep.energies, E, rtol=1e-12, atol=0)
+    assert np.allclose(rep.variances, np.asarray(sizes) * v1, rtol=1e-12, atol=0)
+
+
+def _full_lattice_scaling(kind, test, sizes, n_max, params, kernel, pad=1,
+                          margin=1):
+    """Energies, variances and boundary counts on the whole padded chain:
+    directions and window sums on the lattice with `margin` levels of
+    headroom, derivations compressed to the n_max block, KMS forms of the
+    n_max state of the whole chain."""
+    op = "adag" if test == "sum_adag" else "n"
+    energies, variances, counts = [], [], []
+    for n in sizes:
+        chain = [LatticeConfig(1, n + 2 * pad, "chain", 1.0, levels)
+                 for levels in (n_max + margin, n_max)]
+        built, work = (build_model(ModelSpec(kind, lat, params=params))
+                       for lat in chain)
+        F, Fw = (reduce(add, (site_operator(lat, op, j)
+                              for j in range(pad, pad + n))) for lat in chain)
+        keep = np.flatnonzero(np.all(chain[0].occupations() <= n_max, axis=1))
+
+        def headroom_delta(X, f):
+            m = 1j * (X.matrix @ f.matrix - f.matrix @ X.matrix)
+            return LatticeOperator(m.tocsr()[np.ix_(keep, keep)], frozenset(),
+                                   chain[1])
+
+        for d, orbit in zip(built.directions, built.orbits):
+            d.components = orbit
+        terms = direction_energies(built.directions, work.metric, kernel, F,
+                                   headroom_delta)
+        energies.append(sum(terms))
+        variances.append(work.metric.variance(Fw))
+        counts.append(sum(abs(c) > 1e-14 for c in terms))
+    return energies, variances, counts
+
+
+@pytest.mark.parametrize("kind, params", [
+    ("w_ops", {}),
+    ("w_ops", {"selfadjoint": True}),
+    ("invariant_aij", {"sites_i": [0], "sites_j": [2]}),
+    ("z_field", {"kappa": [1.0, 0.5]}),
+    ("y_field", {"kappa": [1.0], "xi": [0.5]}),
+])
+def test_local_scaling_matches_full_lattice(kernel, kind, params):
+    # the support-local path translates the short chain's directions; the
+    # whole-chain computation builds every direction of the padded chain
+    for test in ("sum_adag", "sum_n"):
+        for n_max, sizes in ((1, [3, 4, 5]), (2, [3, 4])):
+            rep = rayleigh_scaling(kind, test, sizes, n_max=n_max,
+                                   kernel=kernel, params=params)
+            E, V, counts = _full_lattice_scaling(kind, test, sizes, n_max,
+                                                 params, kernel)
+            assert rep.boundary_counts == counts
+            assert np.allclose(rep.energies, E, rtol=1e-12, atol=0)
+            assert np.allclose(rep.variances, V, rtol=1e-12, atol=0)
 
 
 def test_meanfield_ratio_does_not_decay(kernel):
