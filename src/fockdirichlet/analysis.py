@@ -176,7 +176,7 @@ def spectral_gap(L: Superoperator, metric: KmsMetric | None = None,
             ev = np.sort(eigsh(Ss, k=min(k, n - 2), sigma=-1e-6,
                                which="LM", return_eigenvectors=False))
         except RuntimeError as exc:  # factorization failure
-            raise RuntimeError(
+            raise np.linalg.LinAlgError(
                 f"shift-invert symmetrization failed: {exc}") from exc
     kernel_dim = int(np.sum(ev < zero_tol))
     above = ev[ev >= zero_tol]

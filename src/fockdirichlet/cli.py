@@ -1,8 +1,17 @@
 """Scenario runner: JSON configs in, JSON/CSV reports out.
 
-Exit codes: 0 success, 1 experiment assertion failed, 2 config/schema
-violation (including an --nmax-override on a config without a `model`
-block, which has no lattice to override), 3 memory-budget refusal.
+Each experiment is one entry of `EXPERIMENTS`: its params with their
+defaults, whether it reads the `model` block, its memory-budget estimate, its
+runner at a given cutoff `n_max` and, for the experiments rerun at
+`n_max + 1`, the rerun's summary for `truncation_sensitivity`.
+`run_scenario` does the shared steps once.
+
+Exit codes: 0 success, 1 experiment assertion failed, 2 config violation
+(schema; unknown params; a missing or invalid `model` block, or one the
+experiment cannot use; an --nmax-override on an experiment that reads no
+`model` block, which has no lattice to override), 3 memory-budget refusal,
+4 numerical failure (Krylov non-convergence or a failed linear-algebra
+routine).  Exits 2, 3 and 4 write no report.
 
 Reports are deterministic for a fixed config and seed; the run timestamp is
 isolated in a sidecar `<report>.meta.json` so the report files themselves
@@ -19,19 +28,223 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 import jsonschema
 
-from . import analysis, dirichlet, kernels, models
+from . import analysis, bogolubov, dirichlet, kernels, models
 from .fock import LatticeConfig, TruncationReport
-from .models import ModelSpec, build_model, verify_algebra
+from .models import ModelSpec
 
 SCHEMA_VERSION = 1
 DEFAULT_BUDGET_MB = 2048
 BUDGET_ENV = "FOCKDIRICHLET_BUDGET_MB"
+
+
+class BudgetError(RuntimeError):
+    pass
+
+
+class ConfigError(ValueError):
+    """A valid config that the requested run cannot apply to."""
+
+
+class Run(NamedTuple):
+    """One run's report sections, pass flag, CSV rows and sidecar facts."""
+    sections: dict
+    passed: bool
+    csv_rows: list | None = None
+    meta: dict | None = None
+
+
+@dataclass(frozen=True)
+class Experiment:
+    """`params` maps each allowed param to its default.  `run(n_max, spec,
+    params, kernel, seed) -> Run`; `budget(n_max, spec, params) -> (bytes,
+    what)`; `rerun(sections)` summarises the n_max + 1 rerun, if there is one.
+    Runners look analysis functions up at call time, so that tracing and
+    monkeypatching the modules reaches them."""
+    params: dict
+    run: Callable
+    model: bool = False
+    budget: Callable | None = None
+    rerun: Callable | None = None
+
+
+def _spec(lattice: dict, **model) -> ModelSpec:
+    """ModelSpec from config fields; its validation errors are config errors."""
+    ext = lattice["extent"]
+    try:
+        return ModelSpec(lattice=LatticeConfig(
+            **{**lattice, "extent": tuple(ext) if isinstance(ext, list) else ext}),
+            **model)
+    except ValueError as exc:
+        raise ConfigError(f"model: {exc}") from exc
+
+
+def _superoperator_bytes(n_max, spec, p):
+    D = spec.lattice.dim
+    return 16 * D ** 4, f"D = {D}, superoperator"   # dense D^2 x D^2 complex
+
+
+def _verify(n_max, spec, p, kernel, seed):
+    rep = models.verify_algebra(spec)
+    built = models.build_model(spec)
+    Ke = dirichlet.assemble_generator(built.directions, built.metric, kernel,
+                                      path="eigen", seed=seed)
+    Kq = dirichlet.assemble_generator(built.directions, built.metric, kernel,
+                                      path="quadrature", seed=seed)
+    dev = float(abs(Ke.matrix - Kq.matrix).max())
+    checks = [{**vars(c), "passed": c.passed} for c in rep.checks]
+    checks += [{"name": "eigen_vs_quadrature", "residual": dev, "tol": 1e-6,
+                "margin": 0, "note": "", "passed": dev <= 1e-6},
+               {"name": "kms_symmetry", "residual": Ke.sym_residual,
+                "tol": 1e-9, "margin": 0, "note": "",
+                "passed": Ke.symmetric_in_metric}]
+    return Run({"checks": checks,
+                "truncation": vars(TruncationReport.measure(n_max))},
+               all(c["passed"] for c in checks))
+
+
+def _gap(n_max, spec, p, kernel, seed):
+    built = models.build_model(spec)
+    K = dirichlet.assemble_generator(built.directions, built.metric, kernel,
+                                     seed=seed)
+    rep = analysis.spectral_gap(K, built.metric, k=p["k"])
+    n_sites = spec.lattice.n_sites
+    # the ladder span carries the bottom of the spectrum only for the
+    # one-site mean-field mode; elsewhere its eigenvalues bound the gap
+    role = "gap" if spec.kind == "mean_field" and n_sites == 1 else "upper_bound"
+    return Run({"gap": {**vars(rep), "clean_gap_role": role, "metadata": {
+        **rep.metadata, "model": spec.kind, "n_sites": n_sites, "n_max": n_max}}},
+        rep.gap >= 0 and rep.unit_kernel_residual <= 1e-10)
+
+
+def _scaling(n_max, spec, p, kernel, seed):
+    # the model is built inside the scaling routine; check it here first
+    _spec({"dims": 1, "extent": 1, "n_max": n_max}, kind=p["kind"],
+          params=p["model_params"])
+    if p["test"] not in ("sum_adag", "sum_n"):
+        raise ConfigError(f"unknown scaling test {p['test']!r}")
+    rep = analysis.rayleigh_scaling(p["kind"], p["test"], p["sizes"],
+                                    n_max=n_max, beta=p["beta"], kernel=kernel,
+                                    params=p["model_params"], pad=p["pad"])
+    lo, hi = p["exponent_range"]
+    return Run({"scaling": vars(rep)},
+               lo <= rep.exponent <= hi and rep.e_over_boundary_spread < 0.10,
+               [("size", "energy", "variance", "ratio"),
+                *zip(rep.sizes, rep.energies, rep.variances, rep.ratios)])
+
+
+def _heat(n_max, spec, p, kernel, seed):
+    if spec.kind != "z_power" or n_max < 2:
+        raise ConfigError(f"heat needs model kind 'z_power' at lattice n_max "
+                          f">= 2, got {spec.kind!r} at n_max {n_max}")
+    if p["edges"] not in ("ordered", "unordered"):
+        raise ConfigError(f"unknown heat edge convention {p['edges']!r}")
+    rep = analysis.heat_comparison(spec.lattice, beta=spec.beta, kernel=kernel,
+                                   edges=p["edges"], t_grid=tuple(p["t_grid"]),
+                                   seed=seed)
+    return Run({
+        "heat": {k: v for k, v in vars(rep).items() if k != "restriction"},
+        # the clean quantities are cutoff-exact by construction; the raw
+        # deviations above are the truncation-sensitivity signal
+        "truncation_sensitivity": {
+            "note": "clean quantities are cutoff-exact; see "
+                    "full_semigroup_deviation / raw_span_residual"}},
+        rep.span_residual <= 1e-9 and rep.restriction_deviation <= 1e-8
+        and rep.trajectory_deviation <= 1e-6)
+
+
+def _decay(n_max, spec, p, kernel, seed):
+    rep = analysis.polynomial_decay_probe(
+        tuple(p["lengths"]), beta=p["beta"], kernel=kernel,
+        cross_check_length=p["cross_check_length"],
+        cross_check_n_max=p["cross_check_n_max"], seed=seed)
+    cc = rep.cross_check
+    return Run({
+        "decay": {"lengths": rep.lengths, "slopes": rep.slopes,
+                  "windows": rep.windows, "t0_check": rep.t0_check,
+                  "cross_check_trajectory_deviation":
+                      cc.trajectory_deviation if cc else None,
+                  "cross_check_full_semigroup_deviation":
+                      cc.full_semigroup_deviation if cc else None,
+                  "metadata": rep.metadata},
+        "truncation_sensitivity": {
+            "note": "ring slopes run in cutoff-free coefficient space; the "
+                    "cross-check's clean quantities are cutoff-exact"}},
+        all(abs(s + 0.5) <= 0.15 for s in rep.slopes)
+        and (cc is None or cc.trajectory_deviation <= 1e-6),
+        [("length", "slope", "window_lo", "window_hi"),
+         *((L, s, w[0], w[1]) for L, s, w in
+           zip(rep.lengths, rep.slopes, rep.windows))])
+
+
+def _light_cone_bytes(n_max, spec, p):
+    length = p["chain_length"]
+    return (max(analysis.lieb_robinson_bytes(length, n)
+                for n in (n_max, n_max + 1)),
+            f"sector blocks, chain {length}, n_max {n_max} and {n_max + 1}")
+
+
+def _light_cone(n_max, spec, p, kernel, seed):
+    rep = analysis.lieb_robinson_probe(
+        chain_length=p["chain_length"], n_max=n_max, lam=p["lambda"],
+        epsilon=p["epsilon"], beta=p["beta"], t_grid=tuple(p["t_grid"]))
+    fit = {"D": rep.fit_D, "C": rep.fit_C, "m": rep.fit_m}
+    return Run({"lieb_robinson": {
+        "fit": fit, **{k: v for k, v in vars(rep).items()
+                       if k not in ("fit_D", "fit_C", "fit_m", "sectors")}}},
+        rep.fit_m > 0 and rep.bound_ok and rep.t0_max <= 1e-12,
+        [("t", "distance", "commutator_norm"),
+         *((float(t), int(d), float(rep.B[it, d]))
+           for it, t in enumerate(rep.t_grid) for d in rep.distances)],
+        {"lieb_robinson_sectors": rep.sectors})
+
+
+def _bogolubov(n_max, spec, p, kernel, seed):
+    poly, nmax_list = bogolubov.number_polynomial, p["n_max_list"]
+    residuals = [bogolubov.quasi_invariance_rep(
+        poly(), bogolubov.BogolubovParams.boost, poly(), p["s"], nm,
+        seed=seed).unitarity_residual for nm in nmax_list]
+    monotone = all(a >= b - 1e-12 for a, b in zip(residuals, residuals[1:]))
+    return Run({"bogolubov": {"s": p["s"], "n_max_list": nmax_list,
+                              "unitarity_residuals": residuals,
+                              "monotone": monotone}},
+               monotone,
+               [("n_max", "unitarity_residual"), *zip(nmax_list, residuals)])
+
+
+EXPERIMENTS = {
+    "verify": Experiment(
+        {}, _verify, model=True, budget=_superoperator_bytes,
+        rerun=lambda s: {"worst_residual": max(c["residual"] for c in s["checks"]),
+                         "all_passed": all(c["passed"] for c in s["checks"])}),
+    "gap": Experiment(
+        {"k": 8}, _gap, model=True, budget=_superoperator_bytes,
+        rerun=lambda s: {k: s["gap"][k] for k in (
+            "gap", "kernel_dim", "clean_gap", "clean_gap_role",
+            "clean_eigenvalues", "clean_span_residual")}),
+    "scaling": Experiment(
+        {"sizes": [3, 4, 5, 6, 7, 8], "kind": "z_power", "test": "sum_adag",
+         "n_max": 1, "beta": 1.0, "model_params": {"n": 1, "m": 1, "half": True},
+         "pad": 1, "exponent_range": [-1.1, -0.9]},
+        _scaling, rerun=lambda s: {"exponent": s["scaling"]["exponent"]}),
+    "heat": Experiment({"edges": "ordered", "t_grid": [0.2, 0.5, 1.0, 2.0]},
+                       _heat, model=True, budget=_superoperator_bytes),
+    "decay": Experiment({"lengths": [16], "beta": 1.0, "cross_check_length": 4,
+                         "cross_check_n_max": 2}, _decay),
+    "lieb-robinson": Experiment(
+        {"chain_length": 5, "n_max": 2, "lambda": 0.5, "epsilon": 1.0,
+         "beta": 1.0, "t_grid": [0.25, 0.5, 0.75, 1.0, 1.5]},
+        _light_cone, budget=_light_cone_bytes,
+        rerun=lambda s: {"fit": s["lieb_robinson"]["fit"]}),
+    "bogolubov": Experiment({"s": 0.1, "n_max_list": [4, 6, 8]}, _bogolubov),
+}
 
 LATTICE_SCHEMA = {
     "type": "object",
@@ -53,8 +266,7 @@ CONFIG_SCHEMA = {
     "required": ["schema_version", "experiment"],
     "properties": {
         "schema_version": {"const": SCHEMA_VERSION},
-        "experiment": {"enum": ["verify", "gap", "scaling", "heat", "decay",
-                                "lieb-robinson", "bogolubov"]},
+        "experiment": {"enum": list(EXPERIMENTS)},
         "model": {
             "type": "object",
             "additionalProperties": False,
@@ -88,24 +300,16 @@ CONFIG_SCHEMA = {
             },
         },
     },
+    # each experiment admits exactly the params of its table entry
+    "allOf": [{"if": {"properties": {"experiment": {"const": name}}},
+               "then": {"properties": {"params": {
+                   "additionalProperties": False,
+                   "properties": {key: {} for key in exp.params}}}}}
+              for name, exp in EXPERIMENTS.items()],
 }
 
-
-class BudgetError(RuntimeError):
-    pass
-
-
-class ConfigError(ValueError):
-    """A valid config that the requested run cannot apply to."""
-
-
-def _bump_nmax(spec: ModelSpec) -> ModelSpec:
-    """Same model one level deeper, for truncation-sensitivity reruns."""
-    lat = spec.lattice
-    bumped = LatticeConfig(lat.dims, lat.extent, lat.geometry,
-                           lat.neighbor_radius, lat.n_max + 1)
-    return ModelSpec(kind=spec.kind, lattice=bumped, beta=spec.beta,
-                     nu=spec.nu, mu=spec.mu, params=spec.params)
+# built once: jsonschema.validate would check the schema on every call
+_VALIDATOR = jsonschema.validators.validator_for(CONFIG_SCHEMA)(CONFIG_SCHEMA)
 
 
 def load_config(path: str) -> dict:
@@ -114,39 +318,30 @@ def load_config(path: str) -> dict:
             cfg = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ValueError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
-    try:
-        jsonschema.validate(cfg, CONFIG_SCHEMA)
-    except jsonschema.ValidationError as exc:
-        loc = "/".join(str(p) for p in exc.absolute_path) or "<root>"
-        raise ValueError(f"{path}: field {loc}: {exc.message}") from exc
+    err = jsonschema.exceptions.best_match(_VALIDATOR.iter_errors(cfg))
+    if err is not None:
+        loc = "/".join(str(p) for p in err.absolute_path) or "<root>"
+        raise ValueError(f"{path}: field {loc}: {err.message}") from err
     return cfg
 
 
-def _lattice_from(cfg: dict) -> LatticeConfig:
-    ext = cfg["extent"]
-    return LatticeConfig(dims=cfg["dims"],
-                         extent=tuple(ext) if isinstance(ext, list) else ext,
-                         geometry=cfg["geometry"],
-                         neighbor_radius=cfg.get("neighbor_radius", 1.0),
-                         n_max=cfg["n_max"])
-
-
-def _kernel_from(cfg: dict | None) -> kernels.AdmissibleKernel:
-    cfg = cfg or {}
-    return kernels.AdmissibleKernel(kappa=cfg.get("kappa", 0.0),
-                                    n=cfg.get("n", 1),
-                                    sigma=cfg.get("sigma", 0.0))
-
-
-def _check_budget(need: int, budget_mb: int, what: str):
-    if need > budget_mb * 2 ** 20:
-        raise BudgetError(f"estimated {need / 2**20:.0f} MiB exceeds budget "
-                          f"{budget_mb} MiB ({what})")
-
-
-def _check_superoperator_budget(lattice: LatticeConfig, budget_mb: int):
-    _check_budget(lattice.estimate_bytes(superoperator=True), budget_mb,
-                  f"D = {lattice.dim}, superoperator")
+def _model_from(cfg: dict, nmax_override: int | None) -> ModelSpec | None:
+    """The spec of the `model` block, or None if the experiment reads none;
+    a block the experiment does not read is still validated."""
+    name, mcfg = cfg["experiment"], cfg.get("model")
+    reads_model = EXPERIMENTS[name].model
+    if reads_model and mcfg is None:
+        raise ConfigError(f"the {name!r} experiment needs a model block")
+    if nmax_override is not None and not reads_model:
+        raise ConfigError(f"--nmax-override does not apply to the {name!r} "
+                          "experiment: it reads no model block")
+    if mcfg is None:
+        return None
+    lattice = dict(mcfg["lattice"])
+    if nmax_override is not None:
+        lattice["n_max"] = nmax_override
+    spec = _spec(**{**mcfg, "lattice": lattice})
+    return spec if reads_model else None
 
 
 def _jsonable(x):
@@ -173,219 +368,38 @@ def run_scenario(cfg: dict, out_dir: str = ".", seed: int | None = None,
     """Run one scenario; returns (exit_status, report)."""
     budget_mb = budget_mb or int(os.environ.get(BUDGET_ENV, DEFAULT_BUDGET_MB))
     seed = cfg.get("seed", 0) if seed is None else seed
-    kernel = _kernel_from(cfg.get("kernel"))
-    experiment = cfg["experiment"]
-    params = cfg.get("params", {})
+    kernel = kernels.AdmissibleKernel(**cfg.get("kernel", {}))
+    exp = EXPERIMENTS[cfg["experiment"]]
+    spec = _model_from(cfg, nmax_override)
+    p = {**exp.params, **cfg.get("params", {})}
+    n_max = spec.lattice.n_max if spec else p.get("n_max")
 
-    mcfg = cfg.get("model")
-    lattice = spec = None
-    if mcfg is None and nmax_override is not None:
-        raise ConfigError(f"--nmax-override does not apply to the {experiment!r} "
-                          "config: it has no model block")
-    if mcfg is not None:
-        lat = dict(mcfg["lattice"])
-        if nmax_override is not None:
-            lat["n_max"] = nmax_override
-        lattice = _lattice_from(lat)
-        spec = ModelSpec(kind=mcfg["kind"], lattice=lattice,
-                         beta=mcfg.get("beta", 1.0), nu=mcfg.get("nu", 1.0),
-                         mu=mcfg.get("mu", 1.0), params=mcfg.get("params", {}))
+    if exp.budget:
+        need, what = exp.budget(n_max, spec, p)
+        if need > budget_mb * 2 ** 20:
+            raise BudgetError(f"estimated {need / 2**20:.0f} MiB exceeds budget "
+                              f"{budget_mb} MiB ({what})")
+    runs = [exp.run(n_max, spec, p, kernel, seed)]
+    sections = dict(runs[0].sections)
+    if exp.rerun:
+        deeper = spec and replace(spec, lattice=replace(spec.lattice,
+                                                        n_max=n_max + 1))
+        runs.append(exp.run(n_max + 1, deeper, p, kernel, seed))
+        sections["truncation_sensitivity"] = {
+            "n_max": n_max + 1, **exp.rerun(runs[1].sections)}
 
-    report: dict = {
+    report = _jsonable({
         "schema_version": SCHEMA_VERSION,
-        "experiment": experiment,
+        "experiment": cfg["experiment"],
         "seed": seed,
-        "kernel": {"kappa": kernel.kappa, "n": kernel.n, "sigma": kernel.sigma},
+        "kernel": asdict(kernel),
         "sign_convention": "assembled generator is -L (PSD); P_t = exp(-t(-L))",
-    }
-    csv_rows = None
-    meta: dict = {}   # run facts for the sidecar, kept out of the report
-    passed = True
-
-    if experiment == "verify":
-        _check_superoperator_budget(lattice, budget_mb)
-
-        def verify_at(sp):
-            rep = verify_algebra(sp)
-            built = build_model(sp)
-            Ke = dirichlet.assemble_generator(built.directions, built.metric,
-                                              kernel, path="eigen", seed=seed)
-            Kq = dirichlet.assemble_generator(built.directions, built.metric,
-                                              kernel, path="quadrature", seed=seed)
-            dev = float(abs(Ke.matrix - Kq.matrix).max())
-            checks = [{"name": c.name, "residual": c.residual, "tol": c.tol,
-                       "margin": c.margin, "note": c.note, "passed": c.passed}
-                      for c in rep.checks]
-            checks.append({"name": "eigen_vs_quadrature", "residual": dev,
-                           "tol": 1e-6, "margin": 0, "note": "",
-                           "passed": dev <= 1e-6})
-            checks.append({"name": "kms_symmetry", "residual": Ke.sym_residual,
-                           "tol": 1e-9, "margin": 0, "note": "",
-                           "passed": Ke.symmetric_in_metric})
-            return checks
-
-        checks = verify_at(spec)
-        report["checks"] = checks
-        report["truncation"] = _jsonable(vars(TruncationReport.measure(lattice.n_max)))
-        rerun = verify_at(_bump_nmax(spec))
-        report["truncation_sensitivity"] = {
-            "n_max": lattice.n_max + 1,
-            "worst_residual": max(c["residual"] for c in rerun),
-            "all_passed": all(c["passed"] for c in rerun)}
-        passed = all(c["passed"] for c in checks)
-    elif experiment == "gap":
-        _check_superoperator_budget(lattice, budget_mb)
-
-        def gap_at(sp):
-            built = build_model(sp)
-            K = dirichlet.assemble_generator(built.directions, built.metric,
-                                             kernel, seed=seed)
-            return analysis.spectral_gap(K, built.metric, k=params.get("k", 8))
-
-        # the ladder span carries the bottom of the spectrum only for the
-        # one-site mean-field mode; elsewhere its eigenvalues bound the gap
-        role = ("gap" if spec.kind == "mean_field" and lattice.n_sites == 1
-                else "upper_bound")
-
-        def clean_fields(rep):
-            return {"clean_gap": rep.clean_gap, "clean_gap_role": role,
-                    "clean_eigenvalues": rep.clean_eigenvalues,
-                    "clean_span_residual": rep.clean_span_residual}
-
-        gap = gap_at(spec)
-        rerun = gap_at(_bump_nmax(spec))
-        report["gap"] = _jsonable({
-            "eigenvalues": gap.eigenvalues, "gap": gap.gap,
-            "kernel_dim": gap.kernel_dim,
-            "unit_kernel_residual": gap.unit_kernel_residual,
-            **clean_fields(gap),
-            "metadata": {**gap.metadata, "model": spec.kind,
-                         "n_sites": lattice.n_sites, "n_max": lattice.n_max}})
-        report["truncation_sensitivity"] = _jsonable({
-            "n_max": lattice.n_max + 1, "gap": rerun.gap,
-            "kernel_dim": rerun.kernel_dim, **clean_fields(rerun)})
-        passed = gap.gap >= 0 and gap.unit_kernel_residual <= 1e-10
-    elif experiment == "scaling":
-        sizes = params.get("sizes", [3, 4, 5, 6, 7, 8])
-
-        def scaling_at(n_max):
-            return analysis.rayleigh_scaling(
-                params.get("kind", "z_power"), params.get("test", "sum_adag"),
-                sizes, n_max=n_max, beta=params.get("beta", 1.0),
-                kernel=kernel, params=params.get("model_params",
-                                                 {"n": 1, "m": 1, "half": True}),
-                pad=params.get("pad", 1))
-
-        rep = scaling_at(params.get("n_max", 1))
-        rerun = scaling_at(params.get("n_max", 1) + 1)
-        report["scaling"] = _jsonable(vars(rep))
-        report["truncation_sensitivity"] = {
-            "n_max": params.get("n_max", 1) + 1, "exponent": rerun.exponent}
-        csv_rows = [("size", "energy", "variance", "ratio")] + [
-            (s, e, v, r) for s, e, v, r in
-            zip(rep.sizes, rep.energies, rep.variances, rep.ratios)]
-        lo, hi = params.get("exponent_range", (-1.1, -0.9))
-        passed = lo <= rep.exponent <= hi and rep.e_over_boundary_spread < 0.10
-    elif experiment == "heat":
-        _check_superoperator_budget(lattice, budget_mb)
-        rep = analysis.heat_comparison(lattice, beta=spec.beta if spec else 1.0,
-                                       kernel=kernel,
-                                       edges=params.get("edges", "ordered"),
-                                       t_grid=tuple(params.get("t_grid",
-                                                               (0.2, 0.5, 1.0, 2.0))),
-                                       seed=seed)
-        report["heat"] = _jsonable({
-            "span_residual": rep.span_residual,
-            "C_predicted": rep.C_predicted,
-            "restriction_deviation": rep.restriction_deviation,
-            "restriction_eigenvalues": rep.restriction_eigenvalues,
-            "trajectory_deviation": rep.trajectory_deviation,
-            "full_semigroup_deviation": rep.full_semigroup_deviation,
-            "raw_span_residual": rep.raw_span_residual,
-            "metadata": rep.metadata})
-        # the clean quantities are cutoff-exact by construction; the raw
-        # deviations above are the truncation-sensitivity signal
-        report["truncation_sensitivity"] = {
-            "note": "clean quantities are cutoff-exact; see "
-                    "full_semigroup_deviation / raw_span_residual"}
-        passed = (rep.span_residual <= 1e-9
-                  and rep.restriction_deviation <= 1e-8
-                  and rep.trajectory_deviation <= 1e-6)
-    elif experiment == "decay":
-        rep = analysis.polynomial_decay_probe(
-            tuple(params.get("lengths", [16])),
-            beta=params.get("beta", 1.0), kernel=kernel,
-            cross_check_length=params.get("cross_check_length", 4),
-            cross_check_n_max=params.get("cross_check_n_max", 2), seed=seed)
-        report["decay"] = _jsonable({
-            "lengths": rep.lengths, "slopes": rep.slopes,
-            "windows": rep.windows, "t0_check": rep.t0_check,
-            "cross_check_trajectory_deviation":
-                rep.cross_check.trajectory_deviation if rep.cross_check else None,
-            "cross_check_full_semigroup_deviation":
-                rep.cross_check.full_semigroup_deviation if rep.cross_check else None,
-            "metadata": rep.metadata})
-        csv_rows = [("length", "slope", "window_lo", "window_hi")] + [
-            (L, s, w[0], w[1]) for L, s, w in
-            zip(rep.lengths, rep.slopes, rep.windows)]
-        report["truncation_sensitivity"] = {
-            "note": "ring slopes run in cutoff-free coefficient space; the "
-                    "cross-check's clean quantities are cutoff-exact"}
-        passed = all(abs(s + 0.5) <= 0.15 for s in rep.slopes)
-        if rep.cross_check is not None:
-            passed = passed and rep.cross_check.trajectory_deviation <= 1e-6
-    elif experiment == "lieb-robinson":
-        length, n_max = params.get("chain_length", 5), params.get("n_max", 2)
-        _check_budget(max(analysis.lieb_robinson_bytes(length, n)
-                          for n in (n_max, n_max + 1)), budget_mb,
-                      f"sector blocks, chain {length}, n_max {n_max} and "
-                      f"{n_max + 1}")
-
-        def lr_at(n_max):
-            return analysis.lieb_robinson_probe(
-                chain_length=length,
-                n_max=n_max, lam=params.get("lambda", 0.5),
-                epsilon=params.get("epsilon", 1.0), beta=params.get("beta", 1.0),
-                t_grid=tuple(params.get("t_grid", (0.25, 0.5, 0.75, 1.0, 1.5))))
-
-        rep = lr_at(n_max)
-        rerun = lr_at(n_max + 1)
-        meta["lieb_robinson_sectors"] = [rep.sectors, rerun.sectors]
-        report["truncation_sensitivity"] = {
-            "n_max": n_max + 1,
-            "fit": {"D": rerun.fit_D, "C": rerun.fit_C, "m": rerun.fit_m}}
-        report["lieb_robinson"] = _jsonable({
-            "t_grid": rep.t_grid, "distances": rep.distances, "B": rep.B,
-            "fit": {"D": rep.fit_D, "C": rep.fit_C, "m": rep.fit_m},
-            "bound_ok": rep.bound_ok, "t0_max": rep.t0_max,
-            "short_time_ratio": rep.short_time_ratio, "c_phi": rep.c_phi,
-            "metadata": rep.metadata})
-        csv_rows = [("t", "distance", "commutator_norm")] + [
-            (float(t), int(d), float(rep.B[it, d]))
-            for it, t in enumerate(rep.t_grid) for d in rep.distances]
-        passed = rep.fit_m > 0 and rep.bound_ok and rep.t0_max <= 1e-12
-    elif experiment == "bogolubov":
-        from .bogolubov import (BogolubovParams, number_polynomial,
-                                quasi_invariance_rep)
-        s = params.get("s", 0.1)
-        nmax_list = params.get("n_max_list", [4, 6, 8])
-        residuals = []
-        for nm in nmax_list:
-            rep = quasi_invariance_rep(number_polynomial(), BogolubovParams.boost,
-                                       number_polynomial(), s, nm, seed=seed)
-            residuals.append(rep.unitarity_residual)
-        report["bogolubov"] = _jsonable({
-            "s": s, "n_max_list": nmax_list, "unitarity_residuals": residuals,
-            "monotone": all(residuals[i] >= residuals[i + 1] - 1e-12
-                            for i in range(len(residuals) - 1))})
-        csv_rows = [("n_max", "unitarity_residual")] + list(zip(nmax_list, residuals))
-        passed = report["bogolubov"]["monotone"]
-    else:  # pragma: no cover
-        raise ValueError(experiment)
-
-    report["passed"] = bool(passed)
-    _write_outputs(cfg, report, csv_rows, out_dir, meta)
-    return (0 if passed else 1), report
+        **sections,
+        "passed": runs[0].passed})
+    # sidecar facts, kept out of the report: one value per run
+    meta = {k: [r.meta[k] for r in runs] for k in runs[0].meta or {}}
+    _write_outputs(cfg, report, runs[0].csv_rows, out_dir, meta)
+    return (0 if report["passed"] else 1), report
 
 
 def _write_outputs(cfg: dict, report: dict, csv_rows, out_dir: str,
@@ -395,7 +409,7 @@ def _write_outputs(cfg: dict, report: dict, csv_rows, out_dir: str,
     outp.mkdir(parents=True, exist_ok=True)
     json_name = out.get("json", "report.json")
     path = outp / json_name
-    path.write_text(json.dumps(_jsonable(report), sort_keys=True, indent=2) + "\n")
+    path.write_text(json.dumps(report, sort_keys=True, indent=2) + "\n")
     meta = {"timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"), **meta}
     (outp / (json_name + ".meta.json")).write_text(json.dumps(meta) + "\n")
     if csv_rows and "csv" in out:
@@ -419,6 +433,9 @@ def _run_one(args):
     except BudgetError as exc:
         print(f"budget refusal: {exc}", file=sys.stderr)
         return 3
+    except (dirichlet.KrylovError, np.linalg.LinAlgError) as exc:
+        print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 4
     return status
 
 

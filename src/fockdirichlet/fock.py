@@ -118,12 +118,6 @@ class LatticeConfig:
             idx = idx // d
         return occ
 
-    def estimate_bytes(self, superoperator: bool = False) -> int:
-        """Rough dense-equivalent memory footprint used by the budget guard."""
-        D = self.dim
-        n = D * D * (D * D if superoperator else 1)
-        return 16 * n
-
 
 def _prune(m: sp.spmatrix) -> sp.csr_matrix:
     m = sp.csr_matrix(m)

@@ -359,3 +359,17 @@ def test_gap_iterative_solver_agrees_with_dense(kernel):
     assert iterative.metadata["solver"] == "shift-invert"
     assert iterative.gap == pytest.approx(dense.gap, abs=1e-8)
     assert iterative.kernel_dim == dense.kernel_dim
+
+
+def test_shift_invert_failure_is_a_linalg_error(kernel, monkeypatch):
+    import scipy.sparse.linalg
+
+    def failing(*args, **kwargs):
+        raise RuntimeError("factor is exactly singular")
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", failing)
+    lat = LatticeConfig(1, 1, "chain", 1.0, 4)
+    built = build_model(ModelSpec("mean_field", lat))
+    K = assemble_generator(built.directions, built.metric, kernel)
+    with pytest.raises(np.linalg.LinAlgError, match="shift-invert"):
+        spectral_gap(K, built.metric, dense_limit=0)

@@ -1,14 +1,19 @@
+import importlib.util
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
 
+import jsonschema
 import numpy as np
 import pytest
 
 from fockdirichlet import (AdmissibleKernel, LatticeConfig, ModelSpec,
                            assemble_generator, build_model, spectral_gap)
-from fockdirichlet.cli import load_config, main, run_scenario
+from fockdirichlet.cli import (CONFIG_SCHEMA, EXPERIMENTS, load_config, main,
+                               run_scenario)
+from fockdirichlet.dirichlet import KrylovError
 
 SCENARIOS = Path(__file__).parents[1] / "scenarios"
 
@@ -124,6 +129,26 @@ def test_nmax_override_without_model_block_exits_2(tmp_path, stem, capsys):
     out = tmp_path / "out"
     assert main(["--config", str(SCENARIOS / f"{stem}.json"), "--out",
                  str(out), "--nmax-override", "2"]) == 2
+    assert "--nmax-override" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_scaling_cutoff_comes_from_params_not_model_block(tmp_path):
+    cfg = load_config(str(write_config(
+        tmp_path, experiment="scaling", params={"sizes": [3, 4]})))
+    status, report = run_scenario(cfg, out_dir=str(tmp_path / "out"))
+    assert status == 0
+    assert cfg["model"]["lattice"]["n_max"] == 3
+    assert report["scaling"]["metadata"]["n_max"] == 1
+    assert report["truncation_sensitivity"]["n_max"] == 2
+
+
+def test_nmax_override_on_unread_model_block_exits_2(tmp_path, capsys):
+    # decay carries its cutoffs in params; its model block is not read
+    p = write_config(tmp_path, experiment="decay", params={"lengths": [8]})
+    out = tmp_path / "out"
+    assert main(["--config", str(p), "--out", str(out),
+                 "--nmax-override", "2"]) == 2
     assert "--nmax-override" in capsys.readouterr().err
     assert not out.exists()
 
@@ -304,3 +329,108 @@ def test_heat_and_decay_assemble_with_the_run_seed(tmp_path, monkeypatch,
     assert status == 0
     assert report["seed"] == 5
     assert seeds == [5]
+
+
+# one misspelled param per experiment
+MISSPELLED = {"verify": {"nmax": 3}, "gap": {"kk": 8},
+              "scaling": {"size": [3, 4]}, "heat": {"tgrid": [0.3]},
+              "decay": {"lenghts": [8]}, "lieb-robinson": {"chain_lenght": 4},
+              "bogolubov": {"n_max_lst": [4, 6]}}
+
+
+@pytest.mark.parametrize("experiment", list(EXPERIMENTS))
+def test_misspelled_param_exits_2(tmp_path, capsys, experiment):
+    p = write_config(tmp_path, experiment=experiment,
+                     params=MISSPELLED[experiment])
+    out = tmp_path / "out"
+    assert main(["--config", str(p), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "field params" in err and repr(next(iter(MISSPELLED[experiment]))) in err
+    assert not out.exists()
+
+
+def _model(kind="z_power", n_max=2, **params):
+    return {"kind": kind, "params": params,
+            "lattice": {"dims": 1, "extent": 2, "geometry": "chain",
+                        "n_max": n_max}}
+
+
+@pytest.mark.parametrize("overrides", [
+    {"experiment": "verify", "model": None},
+    {"experiment": "gap", "model": None},
+    {"experiment": "heat", "model": None},
+    {"experiment": "verify", "model": _model("mean_field_n", n=1)},
+    {"experiment": "scaling", "model": None, "params": {"kind": "z_powr"}},
+    {"experiment": "heat", "model": _model("mean_field")},
+    {"experiment": "heat", "model": _model(n_max=1)},
+    {"experiment": "scaling", "model": None, "params": {"test": "sum_adg"}},
+    {"experiment": "heat", "model": _model(), "params": {"edges": "ordred"}},
+], ids=["verify-no-model", "gap-no-model", "heat-no-model",
+        "mean_field_n-n1", "scaling-unknown-kind", "heat-mean_field",
+        "heat-nmax1", "scaling-unknown-test", "heat-unknown-edges"])
+def test_config_the_run_cannot_use_exits_2(tmp_path, capsys, overrides):
+    p = write_config(tmp_path, **overrides)
+    cfg = json.loads(p.read_text())
+    p.write_text(json.dumps({k: v for k, v in cfg.items() if v is not None}))
+    out = tmp_path / "out"
+    assert main(["--config", str(p), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("experiment, function, error", [
+    ("heat", "heat_comparison", KrylovError),
+    ("gap", "spectral_gap", np.linalg.LinAlgError)])
+def test_numerical_failure_exits_4(tmp_path, capsys, monkeypatch, experiment,
+                                   function, error):
+    from fockdirichlet import analysis
+
+    def failing(*args, **kwargs):
+        raise error("did not converge")
+
+    monkeypatch.setattr(analysis, function, failing)
+    p = write_config(tmp_path, experiment=experiment, model=_model())
+    out = tmp_path / "out"
+    assert main(["--config", str(p), "--out", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert err == f"numerical failure: {error.__name__}: did not converge\n"
+    assert not out.exists()
+
+
+def test_config_schema_is_valid():
+    jsonschema.validators.validator_for(CONFIG_SCHEMA).check_schema(CONFIG_SCHEMA)
+
+
+def test_shipped_configs_are_listed_and_load():
+    manifest = json.loads((SCENARIOS / "manifest.json").read_text())
+    shipped = sorted(p.name for p in SCENARIOS.glob("*.json")
+                     if p.name != "manifest.json")
+    assert sorted(manifest) == shipped
+    for name in shipped:
+        load_config(str(SCENARIOS / name))
+
+
+def test_benchmark_workload_configs_load(tmp_path):
+    root = SCENARIOS.parent
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", root / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    for name in workloads.NAMES:
+        for path in workloads.write(workloads.build(root, name), tmp_path / name):
+            load_config(str(path))
+
+
+def test_formats_doc_lists_the_experiment_table():
+    doc = (SCENARIOS.parent / "docs" / "formats.md").read_text()
+    rows = {}
+    for line in doc.splitlines():
+        cells = [c.strip() for c in line.strip("|").split("|")]
+        if len(cells) == 4 and cells[0].strip("`") in EXPERIMENTS:
+            params = {k: json.loads(v)
+                      for k, v in re.findall(r"`(\w+): ([^`]+)`", cells[3])}
+            rows[cells[0].strip("`")] = (cells[1], cells[2], params)
+    assert rows == {name: ("yes" if exp.model else "no",
+                           "yes" if exp.rerun else "no", exp.params)
+                    for name, exp in EXPERIMENTS.items()}
