@@ -17,8 +17,8 @@ from .models import (AlgebraReport, BuiltModel, ModelSpec, ModularOrbit,
                      build_model, mean_field_n_coefficients,
                      mean_field_n_orbit, modular_orbit, one_particle_flow,
                      verify_algebra)
-from .bogolubov import (BogolubovParams, LadderPolynomial, MultimodeBogolubov,
-                        bogolubov_pair, minkowski_field, number_polynomial,
+from .bogolubov import (BogolubovParams, LadderPolynomial, bogolubov_pair,
+                        minkowski_field, number_polynomial,
                         quasi_invariance_rep)
 from .analysis import (GapReport, HeatReport, LRReport, ScalingReport,
                        graph_laplacian, heat_comparison, lieb_robinson_probe,

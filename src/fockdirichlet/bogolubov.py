@@ -49,20 +49,6 @@ class BogolubovParams:
 
 
 @dataclass(frozen=True)
-class MultimodeBogolubov:
-    """a_i = sum_j (gamma_ij A_j + kappa_ij A_j*), row-normalized."""
-
-    gamma: np.ndarray
-    kappa: np.ndarray
-
-    def __post_init__(self):
-        g, k = np.asarray(self.gamma), np.asarray(self.kappa)
-        rows = np.sum(np.abs(g) ** 2, axis=1) - np.sum(np.abs(k) ** 2, axis=1)
-        if np.max(np.abs(rows - 1.0)) > 1e-12:
-            raise ValueError("row condition sum|gamma|^2 - sum|kappa|^2 = 1 violated")
-
-
-@dataclass(frozen=True)
 class CcrDefectReport:
     clean_norm: float       # ||[a, a*] - 1|| on levels 0 .. n_max-2
     full_norm: float        # same on the whole truncated space
@@ -83,25 +69,6 @@ def bogolubov_pair(params: BogolubovParams, lattice: LatticeConfig, site: int = 
         full_norm=comm.norm(),
         n_max=lattice.n_max)
     return a, adag, report
-
-
-def multimode_pairs(params: MultimodeBogolubov, lattice: LatticeConfig):
-    """Embedded transformed modes a_i for a multimode matrix transform."""
-    from .fock import site_operator
-    n = params.gamma.shape[0]
-    if n > lattice.n_sites:
-        raise ValueError("transform involves more modes than the lattice has")
-    A = [site_operator(lattice, "a", s) for s in range(n)]
-    out = []
-    for i in range(n):
-        acc = None
-        for j in range(n):
-            term = A[j] * complex(params.gamma[i, j]) \
-                + A[j].dag() * complex(params.kappa[i, j])
-            acc = term if acc is None else acc + term
-        acc.label = f"a~_{i}"
-        out.append(acc)
-    return out
 
 
 def minkowski_field(tau: complex, x, lattice: LatticeConfig) -> LatticeOperator:

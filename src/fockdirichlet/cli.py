@@ -144,6 +144,9 @@ def _heat(n_max, spec, p, kernel, seed):
     if spec.kind != "z_power" or n_max < 2:
         raise ConfigError(f"heat needs model kind 'z_power' at lattice n_max "
                           f">= 2, got {spec.kind!r} at n_max {n_max}")
+    if spec.params != models.KINDS["z_power"] or spec.nu != 1 or spec.mu != 1:
+        raise ConfigError("heat builds its own z_power directions; the model "
+                          "block's params, nu and mu must keep their defaults")
     if p["edges"] not in ("ordered", "unordered"):
         raise ConfigError(f"unknown heat edge convention {p['edges']!r}")
     rep = analysis.heat_comparison(spec.lattice, beta=spec.beta, kernel=kernel,

@@ -38,9 +38,22 @@ from .fock import (LatticeConfig, LatticeOperator, build_mode_ops, clean_project
                    total_sector_projector)
 from .state import GibbsState, KmsMetric, gibbs_state, modular_flow
 
-MODEL_KINDS = ("mean_field", "mean_field_n", "z_field", "zjk_quadratic",
-               "y_field", "w_ops", "z_power", "y_power", "g_model",
-               "invariant_aij")
+# each kind's params and their defaults; a None default is derived from
+# another param: `xi` from `kappa`, and the w_ops `edges` from `selfadjoint`
+KINDS = {
+    "mean_field": {},
+    "mean_field_n": {"n": 2, "eps": 0.5},
+    "z_field": {"kappa": (1.0,), "xi": None},
+    "zjk_quadratic": {"kappa": 1.0, "eps": 1.0, "edges": "ordered"},
+    "y_field": {"kappa": (1.0,), "xi": None},
+    "w_ops": {"n": 1, "m": 1, "selfadjoint": False, "ergodic_fix": False,
+              "edges": None},
+    "z_power": {"n": 1, "m": 1, "edges": "ordered", "half": False},
+    "y_power": {"n": 1, "m": 1, "edges": "ordered", "half": False},
+    "g_model": {"kappa": np.sqrt(2), "xi": 1.0},
+    "invariant_aij": {"sites_i": (), "sites_j": ()},
+}
+MODEL_KINDS = tuple(KINDS)
 # kinds whose state is the product Gibbs state of the number Hamiltonian
 PRODUCT_KINDS = ("z_field", "y_field", "w_ops", "z_power", "y_power",
                  "invariant_aij")
@@ -48,6 +61,8 @@ PRODUCT_KINDS = ("z_field", "y_field", "w_ops", "z_power", "y_power",
 
 @dataclass
 class ModelSpec:
+    """`params` admits exactly the keys of the kind's `KINDS` entry; the
+    spec holds a new dict with every default filled in and resolved."""
     kind: str
     lattice: LatticeConfig
     beta: float = 1.0
@@ -56,40 +71,40 @@ class ModelSpec:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.kind not in MODEL_KINDS:
-            raise ValueError(f"unknown model kind {self.kind!r}")
-        _validate_params(self)
-
-
-def _validate_params(spec: ModelSpec):
-    p = spec.params
-    kind = spec.kind
-    if kind == "mean_field_n":
-        n = p.get("n", 2)
-        if not (isinstance(n, int) and n > 1):
-            raise ValueError("mean_field_n requires integer n > 1")
-        eps = p.get("eps", 0.5)
-        if not 0.0 <= eps <= 1.0:
-            raise ValueError("mean_field_n requires eps in [0, 1]")
-    if kind in ("z_field", "y_field"):
-        kap = p.get("kappa", (1.0,))
-        if not len(kap):
-            raise ValueError(f"{kind} requires a nonempty coefficient sequence")
-        if max(abs(complex(c)) for c in kap) == 0:
-            raise ValueError(f"{kind} requires a nonzero coefficient sequence")
-    if kind in ("w_ops", "z_power", "y_power"):
-        n, m = p.get("n", 1), p.get("m", 1)
-        if min(n, m) < 1:
-            raise ValueError(f"{kind} requires n, m >= 1")
-        if max(n, m) > spec.lattice.n_max:
-            raise ValueError(f"{kind} powers exceed the cutoff: "
-                             f"n={n}, m={m}, n_max={spec.lattice.n_max}")
-    if kind == "g_model":
-        kap, xi = complex(p.get("kappa", 1.0)), complex(p.get("xi", 0.0))
-        if kap == 0 and xi == 0:
+        kind = self.kind
+        if kind not in KINDS:
+            raise ValueError(f"unknown model kind {kind!r}")
+        for key in self.params:
+            if key not in KINDS[kind]:
+                raise ValueError(f"unknown {kind} param {key!r}; allowed: "
+                                 f"{', '.join(KINDS[kind]) or 'none'}")
+        p = self.params = {**KINDS[kind], **self.params}
+        if kind in ("z_field", "y_field") and p["xi"] is None:
+            p["xi"] = p["kappa"]
+        if kind == "w_ops" and p["edges"] is None:
+            p["edges"] = "unordered" if p["selfadjoint"] else "ordered"
+        if "edges" in p and p["edges"] not in ("ordered", "unordered"):
+            raise ValueError(f"unknown edge convention {p['edges']!r}")
+        if kind == "mean_field_n":
+            if not (isinstance(p["n"], int) and p["n"] > 1):
+                raise ValueError("mean_field_n requires integer n > 1")
+            if not 0.0 <= p["eps"] <= 1.0:
+                raise ValueError("mean_field_n requires eps in [0, 1]")
+        if kind in ("z_field", "y_field"):
+            if not len(p["kappa"]):
+                raise ValueError(f"{kind} requires a nonempty coefficient sequence")
+            if max(abs(complex(c)) for c in p["kappa"]) == 0:
+                raise ValueError(f"{kind} requires a nonzero coefficient sequence")
+        if kind in ("w_ops", "z_power", "y_power"):
+            n, m = p["n"], p["m"]
+            if min(n, m) < 1:
+                raise ValueError(f"{kind} requires n, m >= 1")
+            if max(n, m) > self.lattice.n_max:
+                raise ValueError(f"{kind} powers exceed the cutoff: "
+                                 f"n={n}, m={m}, n_max={self.lattice.n_max}")
+        if kind == "g_model" and complex(p["kappa"]) == complex(p["xi"]) == 0:
             raise ValueError("g_model requires (kappa, xi) != 0")
-    if kind == "invariant_aij":
-        if not p.get("sites_i") or not p.get("sites_j"):
+        if kind == "invariant_aij" and not (p["sites_i"] and p["sites_j"]):
             raise ValueError("invariant_aij requires nonempty site sets I and J")
 
 
@@ -125,51 +140,47 @@ def _pow(op: LatticeOperator, k: int) -> LatticeOperator:
     return out
 
 
+def _collective(ops, c) -> LatticeOperator:
+    """The collective sum c sum_s op_s, added in site order."""
+    out = ops[0] * c
+    for op in ops[1:]:
+        out = out + op * c
+    return out
+
+
 def edge_list(lattice: LatticeConfig, convention: str):
     if convention == "ordered":
         return lattice.ordered_neighbor_pairs()
-    if convention == "unordered":
-        return lattice.neighbor_pairs()
-    raise ValueError(f"unknown edge convention {convention!r}")
+    return lattice.neighbor_pairs()
 
 
 def build_model(spec: ModelSpec) -> BuiltModel:
-    lattice = spec.lattice
-    beta = spec.beta
+    lattice, kind, p = spec.lattice, spec.kind, spec.params
     a, ad = _ladder(lattice)
-    kind = spec.kind
-    p = spec.params
-    notes = []
-    if kind in PRODUCT_KINDS:
-        state = gibbs_state(_number_hamiltonian(lattice), beta, product=True)
+    # the Hamiltonian of the state; the product kinds use the number one
+    product = kind in PRODUCT_KINDS
+    H = _number_hamiltonian(lattice) if product else None
+    directions, orbits, notes = [], [], []
 
     if kind in ("mean_field", "mean_field_n"):
-        X = a[0] * (1.0 / np.sqrt(lattice.n_sites))
-        for s in range(1, lattice.n_sites):
-            X = X + a[s] * (1.0 / np.sqrt(lattice.n_sites))
+        X = _collective(a, 1.0 / np.sqrt(lattice.n_sites))
         X.label = "X"
-        U = X.dag() @ X
-        state = gibbs_state(U, beta, product=(lattice.n_sites == 1))
+        H, product = X.dag() @ X, lattice.n_sites == 1
         if kind == "mean_field":
-            directions = [DerivationDirection(X, spec.nu, spec.mu)]
-            orbits = [[(X, 1.0)]]
+            directions.append(DerivationDirection(X, spec.nu, spec.mu))
+            orbits.append([(X, 1.0)])
         else:
-            n, eps = p.get("n", 2), p.get("eps", 0.5)
-            Xn = _pow(a[0], n) * (1.0 / lattice.n_sites ** eps)
-            for s in range(1, lattice.n_sites):
-                Xn = Xn + _pow(a[s], n) * (1.0 / lattice.n_sites ** eps)
+            n = p["n"]
+            Xn = _collective([_pow(x, n) for x in a],
+                             1.0 / lattice.n_sites ** p["eps"])
             Xn.label = f"X_{n}"
-            directions = [DerivationDirection(Xn, spec.nu, spec.mu)]
-            orbits = [None]
+            directions.append(DerivationDirection(Xn, spec.nu, spec.mu))
+            orbits.append(None)
             notes.append("orbit via the coefficient recursion; see "
                          "mean_field_n_orbit")
     elif kind in ("z_field", "y_field"):
-        kap = [complex(c) for c in p.get("kappa", (1.0,))]
-        xi = [complex(c) for c in p.get("xi", kap)]
-        directions, orbits = [], []
-        for shift in _shifts(lattice, max(len(kap), len(xi))):
-            Zk = _translated_field(a, kap, shift, lattice, f"Z_k@{shift}")
-            Zx = _translated_field(a, xi, shift, lattice, f"Z_x@{shift}")
+        for shift in _shifts(lattice, max(len(p["kappa"]), len(p["xi"]))):
+            Zk, Zx = _z_pair(a, p, shift, lattice)
             if kind == "z_field":
                 if spec.nu:
                     directions.append(DerivationDirection(Zk, spec.nu, 0.0))
@@ -185,12 +196,7 @@ def build_model(spec: ModelSpec) -> BuiltModel:
                                                       components=comps))
                 orbits.append(comps)
     elif kind == "zjk_quadratic":
-        conv = p.get("edges", "ordered")
-        kap = _per_site(p.get("kappa", 1.0), lattice)
-        eps = _per_site(p.get("eps", 1.0), lattice)
-        edges = edge_list(lattice, conv)
-        H = None
-        directions, orbits = [], []
+        kap, eps, edges = _edge_fields(spec)
         for (j, k) in edges:
             Z = a[j] * kap[j] + a[k] * eps[k]
             Z.label = f"Z_{j},{k}"
@@ -198,73 +204,45 @@ def build_model(spec: ModelSpec) -> BuiltModel:
             H = term if H is None else H + term
             directions.append(DerivationDirection(Z, spec.nu, spec.mu))
             orbits.append(None)
-        state = gibbs_state(H, beta, product=False)
-        notes.append(f"H sums {conv} neighbour pairs")
+        notes.append(f"H sums {p['edges']} neighbour pairs")
     elif kind == "w_ops":
-        n, m = p.get("n", 1), p.get("m", 1)
-        selfadjoint = p.get("selfadjoint", False)
-        ergodic_fix = p.get("ergodic_fix", False)
-        conv = p.get("edges", "ordered" if not selfadjoint else "unordered")
-        directions, orbits = [], []
-        for (j, k) in edge_list(lattice, conv):
+        n, m = p["n"], p["m"]
+        for (j, k) in edge_list(lattice, p["edges"]):
             Wjk = _pow(ad[j], n) @ _pow(a[k], m)
             Wjk.label = f"W_{j},{k}"
-            if selfadjoint:
+            X, comps = Wjk, [(Wjk, float(m - n))]
+            if p["selfadjoint"]:
                 Wkj = _pow(ad[k], m) @ _pow(a[j], n)
-                W = Wjk + Wkj
-                W.label = f"W_{j},{k}+W_{k},{j}"
-                comps = [(Wjk, float(m - n))] if m == n else \
-                    [(Wjk, float(m - n)), (Wkj, float(n - m))]
-                if m == n:
-                    comps = [(W, 0.0)]
-                directions.append(DerivationDirection(W, spec.nu, spec.mu,
-                                                      components=comps))
-                orbits.append(comps)
-            else:
+                X = Wjk + Wkj
+                X.label = f"W_{j},{k}+W_{k},{j}"
+                comps = [(X, 0.0)] if m == n else comps + [(Wkj, float(n - m))]
+            directions.append(DerivationDirection(X, spec.nu, spec.mu,
+                                                  components=comps))
+            orbits.append(comps)
+            if p["ergodic_fix"] and p["selfadjoint"] and m == n:
+                V = (Wjk - Wjk.dag()) * 1j
+                V.label = f"V_{j},{k}"
                 directions.append(DerivationDirection(
-                    Wjk, spec.nu, spec.mu, components=[(Wjk, float(m - n))]))
-                orbits.append([(Wjk, float(m - n))])
-            if ergodic_fix:
-                V = (Wjk - Wjk.dag()) * 1j if (selfadjoint and m == n) else None
-                if V is not None:
-                    V.label = f"V_{j},{k}"
-                    directions.append(DerivationDirection(
-                        V, spec.nu, spec.mu, components=[(V, 0.0)]))
-                    orbits.append([(V, 0.0)])
+                    V, spec.nu, spec.mu, components=[(V, 0.0)]))
+                orbits.append([(V, 0.0)])
     elif kind in ("z_power", "y_power"):
-        n, m = p.get("n", 1), p.get("m", 1)
-        conv = p.get("edges", "ordered")
-        scale = 0.5 if p.get("half", False) else 1.0
-        directions, orbits = [], []
-        for (j, k) in edge_list(lattice, conv):
-            if kind == "z_power":
-                comps = [(_pow(a[j], n) * scale, float(n)),
-                         (_pow(a[k], m) * (-scale), float(m))]
-                Z = comps[0][0] + comps[1][0]
-                Z.label = f"Z_{j},{k}"
-            else:
-                comps = [(_pow(a[j], n) * scale, float(n)),
-                         (_pow(ad[k], m) * (-scale), float(-m))]
-                Z = comps[0][0] + comps[1][0]
-                Z.label = f"Y_{j},{k}"
+        n, m = p["n"], p["m"]
+        scale = 0.5 if p["half"] else 1.0
+        for (j, k) in edge_list(lattice, p["edges"]):
+            other, w = (a[k], float(m)) if kind == "z_power" else (ad[k], float(-m))
+            comps = [(_pow(a[j], n) * scale, float(n)),
+                     (_pow(other, m) * (-scale), w)]
+            Z = comps[0][0] + comps[1][0]
+            Z.label = f"{kind[0].upper()}_{j},{k}"
             directions.append(DerivationDirection(Z, spec.nu, spec.mu,
                                                   components=comps))
             orbits.append(comps)
     elif kind == "g_model":
-        kap, xi = complex(p.get("kappa", np.sqrt(2))), complex(p.get("xi", 1.0))
-        H = None
-        directions, orbits = [], []
-        R = abs(kap) ** 2 - abs(xi) ** 2
         for s in range(lattice.n_sites):
-            Y = a[s] * kap + ad[s] * xi
-            Y.label = f"Y_{s}"
-            Ns = Y.dag() @ Y
+            _, G, Ns, R = _g_ops(a, ad, s, p)
             H = Ns if H is None else H + Ns
-            G = (Y @ Y) * 0.5
-            G.label = f"G_{s}"
             directions.append(DerivationDirection(G, spec.nu, spec.mu))
             orbits.append(None)
-        state = gibbs_state(H, beta, product=False)
         notes.append(f"modular frequency of G is 2R = {2 * R:.6g} up to "
                      "truncation; eigen assembly decomposes numerically")
     elif kind == "invariant_aij":
@@ -273,17 +251,33 @@ def build_model(spec: ModelSpec) -> BuiltModel:
         J_sites = [tuple(s) if not isinstance(s, int) else (s,)
                    for s in p["sites_j"]]
         freq = float(len(I_sites) - len(J_sites))
-        directions, orbits = [], []
         for shift in _aij_shifts(lattice, I_sites, J_sites):
             op = _aij_operator(a, ad, I_sites, J_sites, shift, lattice)
             directions.append(DerivationDirection(op, spec.nu, spec.mu,
                                                   components=[(op, freq)]))
             orbits.append([(op, freq)])
-    else:  # pragma: no cover
-        raise ValueError(kind)
 
+    state = gibbs_state(H, spec.beta, product=product)
     return BuiltModel(spec=spec, state=state, metric=KmsMetric(state),
                       directions=directions, orbits=orbits, notes=tuple(notes))
+
+
+def _edge_fields(spec: ModelSpec):
+    """Per-site kappa and eps and the edge list of zjk_quadratic."""
+    p, lattice = spec.params, spec.lattice
+    return (_per_site(p["kappa"], lattice), _per_site(p["eps"], lattice),
+            edge_list(lattice, p["edges"]))
+
+
+def _g_ops(a, ad, s, p):
+    """g_model at site s: Y = kappa A + xi A*, G = Y^2 / 2, Y* Y and
+    R = |kappa|^2 - |xi|^2."""
+    kap, xi = complex(p["kappa"]), complex(p["xi"])
+    Y = a[s] * kap + ad[s] * xi
+    Y.label = f"Y_{s}"
+    G = (Y @ Y) * 0.5
+    G.label = f"G_{s}"
+    return Y, G, Y.dag() @ Y, abs(kap) ** 2 - abs(xi) ** 2
 
 
 def _per_site(value, lattice: LatticeConfig) -> list[complex]:
@@ -312,6 +306,13 @@ def _translated_field(a, coeffs, shift, lattice, label) -> LatticeOperator:
         out = term if out is None else out + term
     out.label = label
     return out
+
+
+def _z_pair(a, p, shift, lattice):
+    """Translated fields (Z_kappa, Z_xi) of z_field and y_field."""
+    return tuple(_translated_field(a, [complex(c) for c in p[key]], shift,
+                                   lattice, f"Z_{key[0]}@{shift}")
+                 for key in ("kappa", "xi"))
 
 
 def _aij_shifts(lattice: LatticeConfig, I_sites, J_sites):
@@ -385,59 +386,39 @@ def _check(name, lhs: LatticeOperator, rhs: LatticeOperator, lattice,
                          note=note)
 
 
-def falling_product(N: LatticeOperator, n: int, lattice) -> LatticeOperator:
-    """N (N-1) ... (N-(n-1))."""
-    out = identity_operator(lattice)
+def _power_ccr(lattice: LatticeConfig, site: int, n: int) -> LatticeOperator:
+    """[A^n, A*^n] at one site as the polynomial in its number operator N,
+    (N+n)...(N+1) - N(N-1)...(N-(n-1))."""
+    N, Iop = site_operator(lattice, "n", site), identity_operator(lattice)
+    rising = falling = Iop
     for i in range(n):
-        out = out @ (N - float(i) * identity_operator(lattice))
-    return out
-
-
-def rising_product(N: LatticeOperator, n: int, lattice) -> LatticeOperator:
-    """(N+n) (N+n-1) ... (N+1)."""
-    out = identity_operator(lattice)
-    for i in range(1, n + 1):
-        out = out @ (N + float(i) * identity_operator(lattice))
-    return out
-
-
-def ladder_power_commutator_poly(N: LatticeOperator, n: int, lattice) -> LatticeOperator:
-    """[A^n, A*^n] = (N+n)...(N+1) - N(N-1)...(N-(n-1)) as a polynomial in N."""
-    return rising_product(N, n, lattice) - falling_product(N, n, lattice)
+        rising = rising @ (N + float(i + 1) * Iop)
+        falling = falling @ (N - float(i) * Iop)
+    return rising - falling
 
 
 def verify_algebra(spec: ModelSpec) -> AlgebraReport:
     """Exact-identity suite for one model; residuals are clean-subspace
     spectral norms with the margin recorded per check."""
-    lattice = spec.lattice
+    lattice, kind, p = spec.lattice, spec.kind, spec.params
     a, ad = _ladder(lattice)
     Iop = identity_operator(lattice)
-    p = spec.params
     checks: list[IdentityCheck] = []
-    kind = spec.kind
 
     if kind == "mean_field":
-        X = a[0] * (1.0 / np.sqrt(lattice.n_sites))
-        for s in range(1, lattice.n_sites):
-            X = X + a[s] * (1.0 / np.sqrt(lattice.n_sites))
+        X = _collective(a, 1.0 / np.sqrt(lattice.n_sites))
         checks.append(_check("ccr_collective", commutator(X, X.dag()), Iop,
                              lattice, margin=1))
     elif kind == "mean_field_n":
-        n = p.get("n", 2)
-        rep = mean_field_n_recursion_check(spec, k_max=5)
-        checks.extend(rep)
-        Nop = embed(build_mode_ops(lattice.n_max)[2], [0], lattice)
-        poly = ladder_power_commutator_poly(Nop, n, lattice)
+        n = p["n"]
+        checks.extend(mean_field_n_recursion_check(spec, k_max=5))
         checks.append(_check(f"power_ccr_site0_n{n}",
-                             commutator(_pow(a[0], n), _pow(ad[0], n)), poly,
-                             lattice, margin=n))
+                             commutator(_pow(a[0], n), _pow(ad[0], n)),
+                             _power_ccr(lattice, 0, n), lattice, margin=n))
     elif kind == "z_field":
-        kap = [complex(c) for c in p.get("kappa", (1.0,))]
-        xi = [complex(c) for c in p.get("xi", kap)]
-        L = min(len(kap), len(xi))
-        Zk = _translated_field(a, kap, 0, lattice, "Zk")
-        Zx = _translated_field(a, xi, 0, lattice, "Zx")
-        const = sum(kap[l] * np.conj(xi[l]) for l in range(L))
+        Zk, Zx = _z_pair(a, p, 0, lattice)
+        const = sum(complex(k) * np.conj(complex(x))
+                    for k, x in zip(p["kappa"], p["xi"]))
         checks.append(_check("z_ccr", commutator(Zk, Zx.dag()),
                              Iop * const, lattice, margin=1))
     elif kind == "zjk_quadratic":
@@ -452,16 +433,14 @@ def verify_algebra(spec: ModelSpec) -> AlgebraReport:
                                     margin=0,
                                     note="exact on the full truncated space"))
     elif kind == "y_field":
-        kap = [complex(c) for c in p.get("kappa", (1.0,))]
-        xi = [complex(c) for c in p.get("xi", kap)]
-        Zk = _translated_field(a, kap, 0, lattice, "Zk")
-        Zx = _translated_field(a, xi, 0, lattice, "Zx")
+        Zk, Zx = _z_pair(a, p, 0, lattice)
         Y = Zk - Zx.dag()
-        const = sum(abs(c) ** 2 for c in kap) - sum(abs(c) ** 2 for c in xi)
+        const = sum(abs(complex(c)) ** 2 for c in p["kappa"]) \
+            - sum(abs(complex(c)) ** 2 for c in p["xi"])
         checks.append(_check("y_ccr", commutator(Y, Y.dag()), Iop * const,
                              lattice, margin=1))
     elif kind == "w_ops":
-        n, m = p.get("n", 1), p.get("m", 1)
+        n, m = p["n"], p["m"]
         if n == 1 and m == 1 and lattice.n_sites >= 2:
             pairs = lattice.neighbor_pairs() or [(0, 1)]
             sym = lambda j, k: ad[j] @ a[k] + ad[k] @ a[j]
@@ -478,45 +457,37 @@ def verify_algebra(spec: ModelSpec) -> AlgebraReport:
                 checks.append(_check(
                     f"w_commutator_{jk}_{nm}", lhs, rhs, lattice, margin=2,
                     note="sign-corrected four-term combination"))
-        Wjk = _pow(ad[0], n) @ _pow(a[min(1, lattice.n_sites - 1)], m)
-        state = gibbs_state(_number_hamiltonian(lattice), spec.beta, product=True)
         if n == m:
+            Wjk = _pow(ad[0], n) @ _pow(a[min(1, lattice.n_sites - 1)], m)
+            state = gibbs_state(_number_hamiltonian(lattice), spec.beta,
+                                product=True)
             flowed = modular_flow(Wjk, state, 0.7)
             checks.append(IdentityCheck(
                 "modular_invariance", float((flowed - Wjk).fro_norm()), 1e-12,
                 margin=0, note="exact for equal powers"))
     elif kind == "z_power":
-        n, m = p.get("n", 1), p.get("m", 1)
-        Nop0 = embed(build_mode_ops(lattice.n_max)[2], [0], lattice)
-        poly_n = ladder_power_commutator_poly(Nop0, n, lattice)
+        n, m = p["n"], p["m"]
+        poly_n = _power_ccr(lattice, 0, n)
         checks.append(_check(
             f"power_ccr_n{n}", commutator(_pow(a[0], n), _pow(ad[0], n)),
             poly_n, lattice, margin=n))
         if lattice.n_sites >= 2:
             Z = _pow(a[0], n) - _pow(a[1], m)
-            Nop1 = embed(build_mode_ops(lattice.n_max)[2], [1], lattice)
-            rhs = poly_n + ladder_power_commutator_poly(Nop1, m, lattice)
+            rhs = poly_n + _power_ccr(lattice, 1, m)
             checks.append(_check("z_power_ccr", commutator(Z, Z.dag()), rhs,
                                  lattice, margin=max(n, m)))
     elif kind == "y_power":
-        n, m = p.get("n", 1), p.get("m", 1)
+        n, m = p["n"], p["m"]
         if lattice.n_sites >= 2:
             Y = _pow(a[0], n) - _pow(ad[1], m)
-            Nop0 = embed(build_mode_ops(lattice.n_max)[2], [0], lattice)
-            Nop1 = embed(build_mode_ops(lattice.n_max)[2], [1], lattice)
-            rhs = ladder_power_commutator_poly(Nop0, n, lattice) \
-                - ladder_power_commutator_poly(Nop1, m, lattice)
+            rhs = _power_ccr(lattice, 0, n) - _power_ccr(lattice, 1, m)
             checks.append(_check(
                 "y_power_ccr", commutator(Y, Y.dag()), rhs, lattice,
                 margin=max(n, m),
                 note="product-polynomial form; the n A^{n-1} A*^{n-1} "
                      "shorthand only matches it for n = 1"))
     elif kind == "g_model":
-        kap, xi = complex(p.get("kappa", np.sqrt(2))), complex(p.get("xi", 1.0))
-        Y = a[0] * kap + ad[0] * xi
-        R = abs(kap) ** 2 - abs(xi) ** 2
-        G = (Y @ Y) * 0.5
-        Nc = Y.dag() @ Y
+        Y, G, Nc, R = _g_ops(a, ad, 0, p)
         checks.append(_check("y_ccr", commutator(Y, Y.dag()), Iop * R,
                              lattice, margin=1))
         checks.append(_check("g_gstar", commutator(G, G.dag()),
@@ -565,21 +536,14 @@ def _mean_field_n_basis(spec: ModelSpec):
     """Collective operators M_l = X_{n-l} X^l (l = 0..n) and U = X* X."""
     lattice = spec.lattice
     a, _ = _ladder(lattice)
-    n = spec.params.get("n", 2)
-    eps = spec.params.get("eps", 0.5)
-    Ns = lattice.n_sites
-    X = a[0] * (1.0 / np.sqrt(Ns))
-    for s in range(1, Ns):
-        X = X + a[s] * (1.0 / np.sqrt(Ns))
+    n, eps, Ns = spec.params["n"], spec.params["eps"], lattice.n_sites
+    X = _collective(a, 1.0 / np.sqrt(Ns))
     U = X.dag() @ X
 
     def xpow_sum(k):
         if k == 0:
             return identity_operator(lattice) * float(Ns ** (1 - eps))
-        out = _pow(a[0], k) * (1.0 / Ns ** eps)
-        for s in range(1, Ns):
-            out = out + _pow(a[s], k) * (1.0 / Ns ** eps)
-        return out
+        return _collective([_pow(x, k) for x in a], 1.0 / Ns ** eps)
 
     M = []
     for l in range(n + 1):
@@ -602,8 +566,7 @@ def mean_field_n_recursion_check(spec: ModelSpec, k_max: int = 5,
     family to be independent (it needs about n sites), only the expansion
     residual is checked and the coefficient extraction is skipped.
     """
-    lattice = spec.lattice
-    n = spec.params.get("n", 2)
+    lattice, n = spec.lattice, spec.params["n"]
     X, U, M = _mean_field_n_basis(spec)
     coeffs = mean_field_n_coefficients(n, k_max)
     Q = total_sector_projector(lattice, lattice.n_max)
@@ -648,9 +611,7 @@ def mean_field_n_orbit(spec: ModelSpec, t: float, *, tol: float = 1e-10):
 
     Returns (operator, K, bound).
     """
-    lattice = spec.lattice
-    n = spec.params.get("n", 2)
-    beta = spec.beta
+    n, beta = spec.params["n"], spec.beta
     x = abs(beta * t) * (n + 1)
     K, term, bound = 1, x, x
     while True:
@@ -729,19 +690,15 @@ def modular_orbit(built: BuiltModel, index: int) -> ModularOrbit:
     if built.orbits[index] is not None:
         return ModularOrbit(built.orbits[index], spec.beta)
     if spec.kind == "zjk_quadratic":
-        h = one_particle_matrix(spec)
-        lattice = spec.lattice
-        a, _ = _ladder(lattice)
-        kap = _per_site(spec.params.get("kappa", 1.0), lattice)
-        eps = _per_site(spec.params.get("eps", 1.0), lattice)
-        edges = edge_list(lattice, spec.params.get("edges", "ordered"))
+        kap, eps, edges = _edge_fields(spec)
         j, k = edges[index]
-        c0 = np.zeros(lattice.n_sites, complex)
+        c0 = np.zeros(spec.lattice.n_sites, complex)
         c0[j] += kap[j]
         c0[k] += eps[k]
         return ModularOrbit(
             components=[], beta=spec.beta, kind="one_particle",
-            one_particle_matrix=h, initial_coefficients=c0, site_ops=a,
+            one_particle_matrix=one_particle_matrix(spec),
+            initial_coefficients=c0, site_ops=_ladder(spec.lattice)[0],
             note=f"alpha_t(Z_{j},{k}) = sum_m c_m(t) A_m with "
                  "c(t) = exp(i beta t h)^T c0")
     if spec.kind == "mean_field_n":
@@ -753,11 +710,8 @@ def modular_orbit(built: BuiltModel, index: int) -> ModularOrbit:
 def one_particle_matrix(spec: ModelSpec) -> np.ndarray:
     """Hopping matrix h with [H, A_l] = -sum_m h_{lm} A_m for the quadratic
     edge Hamiltonian, so alpha_t(A_l) = sum_m [exp(i beta t h)]_{lm} A_m."""
-    lattice = spec.lattice
-    kap = _per_site(spec.params.get("kappa", 1.0), lattice)
-    eps = _per_site(spec.params.get("eps", 1.0), lattice)
-    edges = edge_list(lattice, spec.params.get("edges", "ordered"))
-    n = lattice.n_sites
+    kap, eps, edges = _edge_fields(spec)
+    n = spec.lattice.n_sites
     h = np.zeros((n, n), complex)
     for (j, k) in edges:
         h[j, j] += abs(kap[j]) ** 2

@@ -2,10 +2,9 @@ import numpy as np
 import pytest
 
 from fockdirichlet import (BogolubovParams, LadderPolynomial, LatticeConfig,
-                           MultimodeBogolubov, bogolubov_pair, commutator,
-                           identity_operator, minkowski_field,
-                           number_polynomial, quasi_invariance_rep,
-                           site_operator)
+                           bogolubov_pair, commutator, identity_operator,
+                           minkowski_field, number_polynomial,
+                           quasi_invariance_rep, site_operator)
 from fockdirichlet.fock import clean_projector, compressed
 
 
@@ -24,8 +23,6 @@ def test_identity_transform():
 def test_normalization_enforced():
     with pytest.raises(ValueError):
         BogolubovParams(1.0, 0.5)
-    with pytest.raises(ValueError):
-        MultimodeBogolubov(np.eye(2) * 2.0, np.zeros((2, 2)))
 
 
 def test_boost_ccr_clean_subspace():
@@ -43,14 +40,12 @@ def test_boost_group_law():
         assert ab.theta == pytest.approx(direct.theta, abs=1e-13)
 
 
-def test_multimode_row_condition_and_ccr():
+def test_boost_pair_ccr_at_each_site():
+    # a diagonal multimode transform is the single-mode boost at every site
     lat = LatticeConfig(1, 2, "chain", 1.0, 5)
-    c, s = np.cosh(0.2), np.sinh(0.2)
-    params = MultimodeBogolubov(np.diag([c, c]), np.diag([s, s]))
-    from fockdirichlet.bogolubov import multimode_pairs
-    modes = multimode_pairs(params, lat)
-    for m in modes:
-        defect = commutator(m, m.dag()) - identity_operator(lat)
+    for site in range(lat.n_sites):
+        a, adag, _ = bogolubov_pair(BogolubovParams.boost(0.2), lat, site)
+        defect = commutator(a, adag) - identity_operator(lat)
         assert clean_norm(defect, lat, 2) < 1e-10
 
 

@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 from fockdirichlet import (AdmissibleKernel, LatticeConfig, ModelSpec,
-                           assemble_generator, build_model, spectral_gap)
+                           assemble_generator, build_model, models,
+                           spectral_gap)
 from fockdirichlet.cli import (CONFIG_SCHEMA, EXPERIMENTS, load_config, main,
                                run_scenario)
 from fockdirichlet.dirichlet import KrylovError
@@ -365,9 +366,17 @@ def _model(kind="z_power", n_max=2, **params):
     {"experiment": "heat", "model": _model(n_max=1)},
     {"experiment": "scaling", "model": None, "params": {"test": "sum_adg"}},
     {"experiment": "heat", "model": _model(), "params": {"edges": "ordred"}},
+    {"experiment": "verify", "model": _model(mm=2)},
+    {"experiment": "verify", "model": _model(edges="ordred")},
+    {"experiment": "scaling", "model": None,
+     "params": {"model_params": {"halff": True}}},
+    {"experiment": "heat", "model": _model(n=2, m=2)},
+    {"experiment": "heat", "model": {**_model(), "nu": 0.5}},
 ], ids=["verify-no-model", "gap-no-model", "heat-no-model",
         "mean_field_n-n1", "scaling-unknown-kind", "heat-mean_field",
-        "heat-nmax1", "scaling-unknown-test", "heat-unknown-edges"])
+        "heat-nmax1", "scaling-unknown-test", "heat-unknown-edges",
+        "verify-unknown-model-param", "verify-unknown-model-edges",
+        "scaling-unknown-model-param", "heat-model-params", "heat-model-nu"])
 def test_config_the_run_cannot_use_exits_2(tmp_path, capsys, overrides):
     p = write_config(tmp_path, **overrides)
     cfg = json.loads(p.read_text())
@@ -434,3 +443,15 @@ def test_formats_doc_lists_the_experiment_table():
     assert rows == {name: ("yes" if exp.model else "no",
                            "yes" if exp.rerun else "no", exp.params)
                     for name, exp in EXPERIMENTS.items()}
+
+
+def test_formats_doc_lists_the_model_kinds():
+    doc = (SCENARIOS.parent / "docs" / "formats.md").read_text()
+    rows = {}
+    for line in doc.splitlines():
+        cells = [c.strip() for c in line.strip("|").split("|")]
+        if len(cells) == 2 and cells[0].strip("`") in models.KINDS:
+            rows[cells[0].strip("`")] = {
+                k: json.loads(v)
+                for k, v in re.findall(r"`(\w+): ([^`]+)`", cells[1])}
+    assert rows == json.loads(json.dumps(models.KINDS))

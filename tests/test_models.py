@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -9,8 +11,8 @@ from fockdirichlet import (AdmissibleKernel, DerivationDirection, KmsMetric,
                            site_operator, total_sector_projector,
                            verify_algebra)
 from fockdirichlet.fock import compressed
-from fockdirichlet.models import (OrbitUnsupportedError, one_particle_flow,
-                                  one_particle_matrix)
+from fockdirichlet.models import (MODEL_KINDS, OrbitUnsupportedError,
+                                  one_particle_flow, one_particle_matrix)
 
 
 def clean_block_norm(op, lattice, margin):
@@ -220,6 +222,43 @@ def test_model_validation_errors():
         ModelSpec("z_field", lat, params={"kappa": []})
     with pytest.raises(ValueError):
         ModelSpec("invariant_aij", lat, params={"sites_i": [], "sites_j": [0]})
+
+
+def test_model_params_are_checked_and_copied():
+    lat = LatticeConfig(1, 2, "chain", 1.0, 2)
+    with pytest.raises(ValueError, match="'mm'.*allowed: n, m, edges, half"):
+        ModelSpec("z_power", lat, params={"mm": 2})
+    with pytest.raises(ValueError, match="'ordred'"):
+        ModelSpec("zjk_quadratic", lat, params={"edges": "ordred"})
+    given = {"selfadjoint": True}
+    spec = ModelSpec("w_ops", lat, params=given)
+    assert given == {"selfadjoint": True}
+    assert spec.params == {"n": 1, "m": 1, "selfadjoint": True,
+                           "ergodic_fix": False, "edges": "unordered"}
+    # the n_max + 1 rerun rebuilds the spec from its filled params
+    assert replace(spec, lattice=lat).params == spec.params
+
+
+def test_g_model_defaults_admit_kappa_zero():
+    # with xi at its default 1, kappa = 0 gives Y = A*, a valid model
+    spec = ModelSpec("g_model", LatticeConfig(1, 1, "chain", 1.0, 8),
+                     params={"kappa": 0})
+    assert len(build_model(spec).directions) == 1
+    rep = verify_algebra(spec)
+    assert rep.passed, [(c.name, c.residual) for c in rep.checks]
+
+
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_every_kind_at_its_defaults(kind):
+    lat = LatticeConfig(1, 2, "chain", 1.0, 4)
+    if kind == "invariant_aij":   # it has no default site sets
+        with pytest.raises(ValueError, match="nonempty site sets"):
+            ModelSpec(kind, lat)
+        return
+    spec = ModelSpec(kind, lat)
+    assert build_model(spec).directions
+    rep = verify_algebra(spec)
+    assert rep.passed, [(c.name, c.residual, c.tol) for c in rep.checks]
 
 
 def test_all_catalog_models_pass_verify():
