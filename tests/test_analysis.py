@@ -12,7 +12,7 @@ from fockdirichlet import (AdmissibleKernel, DerivationDirection, LatticeConfig,
                            quadratic_form_energy, rayleigh_scaling,
                            site_operator, spectral_gap)
 from fockdirichlet.analysis import (_charge, _sector_blocks, direction_energies,
-                                    sector_sizes)
+                                    sector_sizes, symmetrized_generator)
 
 
 # --------------------------------------------------------------------------
@@ -64,6 +64,19 @@ def test_clean_gap_none_without_invariant_span(kernel):
     # n_max = 1: the margin-1 clean block loses the ladder span
     rep = _meanfield_gap_report(kernel, 1, 1, 1.0)
     assert rep.clean_gap is None and rep.clean_span_residual is None
+
+
+def test_dense_symmetrized_generator_matches_kron_reference(kernel):
+    # G^(1/2) = kron(M^T, M) with M = rho^(1/4) on a non-diagonal state
+    lat = LatticeConfig(1, 2, "chain", 1.0, 3)
+    built = build_model(ModelSpec("mean_field", lat))
+    assert not built.state.diagonal
+    K = assemble_generator(built.directions, built.metric, kernel)
+    M, Minv = built.state.power(0.25), built.state.power(-0.25)
+    ref = np.kron(M.T, M) @ K.matrix.toarray() @ np.kron(Minv.T, Minv)
+    S = symmetrized_generator(K)
+    assert np.abs(S - ref).max() < 1e-12 * np.abs(ref).max()
+    assert np.abs(S - S.conj().T).max() < 1e-9 * np.abs(ref).max()
 
 
 def test_gap_requires_symmetry_flag(kernel):

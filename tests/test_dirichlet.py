@@ -333,6 +333,33 @@ def test_semigroup_matches_dense_oracle(single_mode, kernel, rng):
     assert dense.matrix[0, 1].real == pytest.approx(np.exp(-lam * 0.7), rel=0.05)
 
 
+def _assert_semigroup_matches_expm(K, f, lat):
+    for t in (0.3, 1.7):
+        got = semigroup_apply(K, f, t)
+        dense = unvec(expm(-t * K.matrix.toarray()) @ vec(f), lat)
+        assert (got - dense).fro_norm() < 1e-8 * dense.fro_norm()
+
+
+@pytest.mark.parametrize("kind, n_max", [("mean_field", 3), ("zjk_quadratic", 2)])
+def test_semigroup_on_dense_state_matches_expm(kind, n_max, kernel, rng):
+    # interacting states are not diagonal: the frame is rho^(1/4) F rho^(1/4)
+    lat = LatticeConfig(1, 2, "chain", 1.0, n_max)
+    built = build_model(ModelSpec(kind, lat))
+    assert not built.state.diagonal
+    K = assemble_generator(built.directions, built.metric, kernel)
+    assert K.symmetric_in_metric
+    _assert_semigroup_matches_expm(K, random_op(rng, lat), lat)
+
+
+def test_semigroup_unchecked_generator_matches_expm(single_mode, kernel, rng):
+    # a generator not flagged symmetric takes the expm_multiply fallback
+    lat, state, metric = single_mode
+    a = site_operator(lat, "a", 0)
+    K = assemble_generator([DerivationDirection(a)], metric, kernel, check=False)
+    assert not K.symmetric_in_metric
+    _assert_semigroup_matches_expm(K, random_op(rng, lat), lat)
+
+
 def test_metric_mismatch_rejected(single_mode, two_site, kernel):
     lat, state, metric = single_mode
     a = site_operator(lat, "a", 0)
