@@ -115,21 +115,14 @@ class GapReport:
 
 
 def symmetrized_generator(L: Superoperator, metric: KmsMetric | None = None):
-    """G^(1/2) K G^(-1/2), Hermitian for KMS-symmetric K."""
+    """S = H K H^-1 in the frame H = G^(1/2) of `KmsMetric.half`, Hermitian
+    for KMS-symmetric K: sparse on a diagonal state, dense otherwise."""
     metric = metric or L.metric
-    state = metric.state
-    K = L.matrix
-    if state.diagonal:
-        w = metric.gram_weights()
-        sq = np.sqrt(w)
-        S = sp.diags(sq) @ K @ sp.diags(1.0 / sq)
-        return S.tocsr()
-    M, Minv = metric.half_weight_matrices()
-    D = state.dim
-    Kd = K.toarray()
-    G_half = np.kron(M.T, M)
-    G_half_inv = np.kron(Minv.T, Minv)
-    return G_half @ Kd @ G_half_inv
+    if metric.state.diagonal:
+        w = metric.half(np.ones(L.dim))  # the diagonal of H
+        return (sp.diags(w) @ L.matrix @ sp.diags(1.0 / w)).tocsr()
+    # H is Hermitian, so H K H^-1 = (H^-1 (H K)^dag)^dag, H acting on columns
+    return metric.half(metric.half(L.matrix.toarray()).conj().T, -1).conj().T
 
 
 def spectral_gap(L: Superoperator, metric: KmsMetric | None = None,

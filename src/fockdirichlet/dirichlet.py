@@ -43,6 +43,8 @@ from .state import (GibbsState, KmsMetric, decompose_modular, modular_flow,
                     modular_flows)
 
 SYMMETRY_TOL = 1e-9
+CHECK_PAIRS = 20       # random pairs of the symmetry check
+KRYLOV_TOL = 1e-10     # relative size of the last Lanczos correction
 
 
 class MetricMismatchError(ValueError):
@@ -141,8 +143,7 @@ def _eigen_components(direction: DerivationDirection, state: GibbsState):
 
 def assemble_generator(directions, metric: KmsMetric, kernel: AdmissibleKernel,
                        path: str = "eigen", *, quad_nodes: int = 16,
-                       check: bool = True, check_pairs: int = 20,
-                       seed: int = 0) -> Superoperator:
+                       check: bool = True, seed: int = 0) -> Superoperator:
     """Assemble K = -L for the given directions, kernel and state.
 
     eigen path:      K = sum_dir sum_{k,l} nu eta_hat((w_l - w_k) beta)
@@ -166,7 +167,7 @@ def assemble_generator(directions, metric: KmsMetric, kernel: AdmissibleKernel,
     sup = Superoperator(generator_kernel(feeds, state.dim), state.lattice,
                         metric, label="-L")
     if check:
-        _verify_generator(sup, check_pairs, seed)
+        _verify_generator(sup, seed)
     return sup
 
 
@@ -264,7 +265,7 @@ def _side_by_side(S: sp.csr_matrix, D: int) -> sp.csr_matrix:
     return sp.csr_matrix((S.data, (i, S.row * D + j)), shape=(D, S.shape[0] * D))
 
 
-def _verify_generator(sup: Superoperator, pairs: int, seed: int):
+def _verify_generator(sup: Superoperator, seed: int):
     """Set the symmetry flag from random-pair tests and check K vec(I) = 0."""
     metric = sup.metric
     D = metric.state.dim
@@ -273,7 +274,7 @@ def _verify_generator(sup: Superoperator, pairs: int, seed: int):
     unit_res = np.linalg.norm(sup.matrix @ idv)
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for _ in range(pairs):
+    for _ in range(CHECK_PAIRS):
         f = rng.standard_normal((D, D)) + 1j * rng.standard_normal((D, D))
         g = rng.standard_normal((D, D)) + 1j * rng.standard_normal((D, D))
         vf, vg = f.reshape(-1, order="F"), g.reshape(-1, order="F")
@@ -387,63 +388,30 @@ def gamma1_contour_form(f, directions, metric: KmsMetric,
     return out
 
 
-def semigroup_apply(L: Superoperator, f, t: float, *, tol: float = 1e-10,
+def semigroup_apply(L: Superoperator, f, t: float, *,
                     max_krylov: int = 220) -> LatticeOperator:
-    """P_t f = exp(t L) f = exp(-t K) vec(f), via a Lanczos Krylov
-    exponential in the KMS-symmetrized frame (dense expm for tiny systems).
+    """P_t f = exp(t L) f = exp(-t K) vec(f).
 
-    Raises KrylovError with the achieved residual when the Krylov iteration
-    fails to converge.
+    A generator flagged KMS-symmetric is Hermitian in the frame of its
+    metric, S = H K H^-1 (see `KmsMetric.half`), and exp(-t S) is taken by a
+    Lanczos Krylov exponential; any other generator goes to scipy's
+    expm_multiply.  Raises KrylovError with the achieved residual when the
+    Krylov iteration fails to converge.
     """
     if t < 0:
         raise ValueError(f"semigroup time must be nonnegative, got {t}")
-    metric = L.metric
     v = vec(f).astype(complex)
-    n = v.size
     if t == 0:
         return unvec(v, L.lattice)
-    if metric is None or not L.symmetric_in_metric:
+    if L.metric is None or not L.symmetric_in_metric:
         from scipy.sparse.linalg import expm_multiply
-        out = expm_multiply(-t * L.matrix.tocsc(), v)
-        return unvec(out, L.lattice)
-
-    state = metric.state
-    if state.diagonal:
-        w = metric.gram_weights()
-        sq = np.sqrt(w)
-        apply_S = _scaled_apply(L.matrix, sq)
-        x0 = sq * v
-        y = _lanczos_expm(apply_S, x0, t, tol, max_krylov)
-        out = y / sq
-    else:
-        M, Minv = metric.half_weight_matrices()
-        D = state.dim
-        Km = L.matrix
-
-        def apply_S(x):
-            F = x.reshape(D, D, order="F")
-            u = (Minv @ F @ Minv).reshape(-1, order="F")
-            u = Km @ u
-            U = u.reshape(D, D, order="F")
-            return (M @ U @ M).reshape(-1, order="F")
-
-        x0 = (M @ v.reshape(D, D, order="F") @ M).reshape(-1, order="F")
-        y = _lanczos_expm(apply_S, x0, t, tol, max_krylov)
-        Y = y.reshape(D, D, order="F")
-        out = (Minv @ Y @ Minv).reshape(-1, order="F")
-    return unvec(out, L.lattice)
+        return unvec(expm_multiply(-t * L.matrix.tocsc(), v), L.lattice)
+    half, K = L.metric.half, L.matrix
+    y = _lanczos_expm(lambda x: half(K @ half(x, -1)), half(v), t, max_krylov)
+    return unvec(half(y, -1), L.lattice)
 
 
-def _scaled_apply(K: sp.csr_matrix, sq: np.ndarray):
-    inv = 1.0 / sq
-
-    def apply_S(x):
-        return sq * (K @ (inv * x))
-
-    return apply_S
-
-
-def _lanczos_expm(apply_S, v: np.ndarray, t: float, tol: float, kmax: int):
+def _lanczos_expm(apply_S, v: np.ndarray, t: float, kmax: int):
     """exp(-t S) v for Hermitian PSD S given as a matvec callable."""
     nrm = np.linalg.norm(v)
     if nrm == 0:
@@ -471,7 +439,7 @@ def _lanczos_expm(apply_S, v: np.ndarray, t: float, tol: float, kmax: int):
         result = V[:, :k] @ small
         if last is not None:
             delta = np.linalg.norm(result - last)
-            if delta <= tol * max(nrm, 1.0):
+            if delta <= KRYLOV_TOL * max(nrm, 1.0):
                 return result
         last = result
         if b < 1e-14 or k >= kmax:

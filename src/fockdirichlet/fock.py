@@ -161,9 +161,6 @@ class LatticeOperator:
     def fro_norm(self) -> float:
         return float(sp.linalg.norm(self.matrix))
 
-    def trace(self) -> complex:
-        return complex(self.matrix.diagonal().sum())
-
     def is_hermitian(self, tol: float = 1e-12) -> bool:
         d = self.matrix - self.matrix.conj().T
         scale = max(sp.linalg.norm(self.matrix), 1.0)

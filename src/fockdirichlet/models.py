@@ -28,6 +28,7 @@ records the margin it used.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -61,8 +62,9 @@ PRODUCT_KINDS = ("z_field", "y_field", "w_ops", "z_power", "y_power",
 
 @dataclass
 class ModelSpec:
-    """`params` admits exactly the keys of the kind's `KINDS` entry; the
-    spec holds a new dict with every default filled in and resolved."""
+    """`params` admits exactly the keys of the kind's `KINDS` entry, each
+    with a value of its default's type (`_param_type`); the spec holds a new
+    dict with every default filled in and resolved."""
     kind: str
     lattice: LatticeConfig
     beta: float = 1.0
@@ -83,12 +85,15 @@ class ModelSpec:
             p["xi"] = p["kappa"]
         if kind == "w_ops" and p["edges"] is None:
             p["edges"] = "unordered" if p["selfadjoint"] else "ordered"
-        if "edges" in p and p["edges"] not in ("ordered", "unordered"):
-            raise ValueError(f"unknown edge convention {p['edges']!r}")
+        for key, default in KINDS[kind].items():
+            ok, want = _param_type(kind, key, default, self.lattice.n_sites)
+            if not ok(p[key]):
+                raise ValueError(f"{kind} param {key!r} must be {want}, "
+                                 f"got {p[key]!r}")
         if kind == "mean_field_n":
-            if not (isinstance(p["n"], int) and p["n"] > 1):
+            if p["n"] <= 1:
                 raise ValueError("mean_field_n requires integer n > 1")
-            if not 0.0 <= p["eps"] <= 1.0:
+            if not (isinstance(p["eps"], numbers.Real) and 0.0 <= p["eps"] <= 1.0):
                 raise ValueError("mean_field_n requires eps in [0, 1]")
         if kind in ("z_field", "y_field"):
             if not len(p["kappa"]):
@@ -106,6 +111,41 @@ class ModelSpec:
             raise ValueError("g_model requires (kappa, xi) != 0")
         if kind == "invariant_aij" and not (p["sites_i"] and p["sites_j"]):
             raise ValueError("invariant_aij requires nonempty site sets I and J")
+
+
+def _number(v) -> bool:
+    return isinstance(v, numbers.Number) and not isinstance(v, bool)
+
+
+def _integer(v) -> bool:
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
+def _list_of(item):
+    return lambda v: (isinstance(v, (list, tuple, np.ndarray))
+                      and all(item(x) for x in v))
+
+
+def _param_type(kind: str, key: str, default, n_sites: int):
+    """(test, description) of the values a param admits, from the type of
+    its default; a derived `xi` takes the type of `kappa`."""
+    if key == "edges":
+        return (lambda v: v in ("ordered", "unordered")), '"ordered" or "unordered"'
+    if key in ("sites_i", "sites_j"):
+        site = lambda s: _integer(s) or (_list_of(_integer)(s) and len(s) > 0)
+        return _list_of(site), "a list of sites (integers or coordinate lists)"
+    if default is None:
+        default = KINDS[kind]["kappa"]
+    if isinstance(default, bool):
+        return (lambda v: isinstance(v, bool)), "a boolean"
+    if isinstance(default, int):
+        return _integer, "an integer"
+    if isinstance(default, tuple):
+        return _list_of(_number), "a list of numbers"
+    if kind == "zjk_quadratic":  # one coefficient, or one per site
+        return (lambda v: _number(v) or (_list_of(_number)(v) and len(v) == n_sites),
+                f"a number or a list of {n_sites} numbers, one per site")
+    return _number, "a number"
 
 
 @dataclass
@@ -283,10 +323,7 @@ def _g_ops(a, ad, s, p):
 def _per_site(value, lattice: LatticeConfig) -> list[complex]:
     if np.isscalar(value):
         return [complex(value)] * lattice.n_sites
-    vals = [complex(v) for v in value]
-    if len(vals) != lattice.n_sites:
-        raise ValueError("per-site coefficient list does not match lattice size")
-    return vals
+    return [complex(v) for v in value]
 
 
 def _shifts(lattice: LatticeConfig, support: int):

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -27,8 +28,9 @@ from scipy.special import logsumexp
 
 from .fock import PRUNE_TOL, LatticeConfig, LatticeOperator, _prune
 
-# |Im z| guard for modular flow (configurable per state)
+# |Im z| guard for modular flow
 DEFAULT_GUARD = 1.0
+HERM_TOL = 1e-12     # relative anti-Hermitian part a Hamiltonian may carry
 CONDITION_LIMIT = 1e12
 # complex entries per batch of eigenbasis rotations in `modular_flows`
 FLOW_BATCH = 1 << 21
@@ -48,7 +50,6 @@ class GibbsState:
     eigvecs: np.ndarray | None      # None when H is diagonal (fast path)
     log_Z: float
     product: bool = False           # H is a sum of single-site terms
-    guard: float = DEFAULT_GUARD
 
     @property
     def dim(self) -> int:
@@ -98,8 +99,7 @@ class GibbsState:
 
 
 def gibbs_state(H, beta: float, *, lattice: LatticeConfig | None = None,
-                product: bool | None = None, guard: float = DEFAULT_GUARD,
-                herm_tol: float = 1e-12) -> GibbsState:
+                product: bool | None = None) -> GibbsState:
     """Build the Gibbs state of a Hermitian lattice Hamiltonian.
 
     The partition constant is handled in the shifted log domain, so extreme
@@ -115,7 +115,7 @@ def gibbs_state(H, beta: float, *, lattice: LatticeConfig | None = None,
             raise ValueError("lattice required when H is a bare matrix")
         m = sp.csr_matrix(H)
     scale = max(sp.linalg.norm(m), 1.0)
-    if sp.linalg.norm(m - m.conj().T) > herm_tol * scale:
+    if sp.linalg.norm(m - m.conj().T) > HERM_TOL * scale:
         raise ValueError("Hamiltonian is not Hermitian within tolerance")
 
     off = m - sp.diags(m.diagonal())
@@ -130,7 +130,7 @@ def gibbs_state(H, beta: float, *, lattice: LatticeConfig | None = None,
     if product is None:
         product = diag
     return GibbsState(lattice=lattice, beta=beta, energies=np.asarray(energies, float),
-                      eigvecs=eigvecs, log_Z=log_Z, product=product, guard=guard)
+                      eigvecs=eigvecs, log_Z=log_Z, product=product)
 
 
 @dataclass
@@ -171,29 +171,30 @@ class KmsMetric:
 
     # --- vectorized-operator (superoperator) geometry -------------------
     # column-stacking vec: <f, g> = vec(f)^dag G vec(g) with
-    # G = (rho^(1/2))^T kron rho^(1/2).
+    # G = (rho^(1/2))^T kron rho^(1/2), and the frame H = G^(1/2) with
+    # H vec(F) = vec(rho^(1/4) F rho^(1/4)).
 
-    def gram_weights(self) -> np.ndarray:
-        """Diagonal of G in the H eigenbasis ordering (diagonal states only)."""
-        if not self.state.diagonal:
-            raise ValueError("gram_weights is only available for diagonal states")
-        s = np.exp(0.5 * self.state.log_p)
-        return np.kron(s, s)  # w[i + D*j] = s_i s_j with column stacking
+    @cached_property
+    def _half_factors(self) -> dict:
+        """H^(+-1): elementwise weights on a diagonal state, else rho^(+-1/4)."""
+        if self.state.diagonal:
+            s = np.exp(0.5 * self.state.log_p)
+            w = np.sqrt(np.kron(s, s))  # w[i + D*j] = (s_i s_j)^(1/2)
+            return {1: w, -1: 1.0 / w}
+        return {1: self.state.power(0.25), -1: self.state.power(-0.25)}
+
+    def half(self, x: np.ndarray, s: int = 1) -> np.ndarray:
+        """H^s x for s = +-1, for one vectorized operator or for each column
+        of a (D^2, k) array."""
+        f = self._half_factors[s]
+        if self.state.diagonal:
+            return f * x if x.ndim == 1 else f[:, None] * x
+        D = self.state.dim
+        X = np.moveaxis(x.reshape(D, D, -1, order="F"), 2, 0)
+        return np.moveaxis(f @ X @ f, 0, 2).reshape(x.shape, order="F")
 
     def vec_inner(self, x: np.ndarray, y: np.ndarray) -> complex:
-        if self.state.diagonal:
-            w = self.gram_weights()
-            return complex(np.vdot(x, w * y))
-        D = self.state.dim
-        r = self.state.power(0.5)
-        Y = y.reshape(D, D, order="F")
-        return complex(np.vdot(x, (r @ Y @ r).reshape(-1, order="F")))
-
-    def half_weight_matrices(self):
-        """(M, Minv) with G^(1/2) vec(F) = vec(M F M) and M = rho^(1/4)."""
-        M = self.state.power(0.25)
-        Minv = self.state.power(-0.25)
-        return M, Minv
+        return complex(np.vdot(self.half(x), self.half(y)))
 
 
 def lp_norm(f, state: GibbsState, p: int, s: float) -> float:
@@ -223,9 +224,9 @@ def modular_flows(X, state: GibbsState, zs) -> sp.csr_matrix:
     """
     zs = np.atleast_1d(zs)
     for z in zs:
-        if abs(np.imag(z)) > state.guard + 1e-12:
+        if abs(np.imag(z)) > DEFAULT_GUARD + 1e-12:
             raise ValueError(f"|Im z| = {abs(np.imag(z))} exceeds guard strip "
-                             f"{state.guard}")
+                             f"{DEFAULT_GUARD}")
     Xm = X.matrix if isinstance(X, LatticeOperator) else sp.csr_matrix(X)
     D = state.dim
     logu = 1j * zs[:, None] * state.log_p[None, :]  # rho^{iz} eigenvalues = exp(logu)

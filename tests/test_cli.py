@@ -372,11 +372,15 @@ def _model(kind="z_power", n_max=2, **params):
      "params": {"model_params": {"halff": True}}},
     {"experiment": "heat", "model": _model(n=2, m=2)},
     {"experiment": "heat", "model": {**_model(), "nu": 0.5}},
+    {"experiment": "verify", "model": _model("z_field", kappa=1.0)},
+    {"experiment": "verify", "model": _model(n=1.5)},
+    {"experiment": "verify", "model": _model("zjk_quadratic", kappa=[1, 1, 1])},
 ], ids=["verify-no-model", "gap-no-model", "heat-no-model",
         "mean_field_n-n1", "scaling-unknown-kind", "heat-mean_field",
         "heat-nmax1", "scaling-unknown-test", "heat-unknown-edges",
         "verify-unknown-model-param", "verify-unknown-model-edges",
-        "scaling-unknown-model-param", "heat-model-params", "heat-model-nu"])
+        "scaling-unknown-model-param", "heat-model-params", "heat-model-nu",
+        "z_field-scalar-kappa", "z_power-float-n", "zjk-kappa-length"])
 def test_config_the_run_cannot_use_exits_2(tmp_path, capsys, overrides):
     p = write_config(tmp_path, **overrides)
     cfg = json.loads(p.read_text())
@@ -420,15 +424,32 @@ def test_shipped_configs_are_listed_and_load():
         load_config(str(SCENARIOS / name))
 
 
+def _perfbench(name: str):
+    """A module of the benchmark harness, loaded from its file."""
+    spec = importlib.util.spec_from_file_location(
+        f"perfbench_{name}", SCENARIOS.parent / "perfbench" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_benchmark_workload_configs_load(tmp_path):
     root = SCENARIOS.parent
-    spec = importlib.util.spec_from_file_location(
-        "perfbench_workloads", root / "perfbench" / "workloads.py")
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
+    workloads = _perfbench("workloads")
     for name in workloads.NAMES:
         for path in workloads.write(workloads.build(root, name), tmp_path / name):
             load_config(str(path))
+
+
+def test_benchmark_trace_targets_resolve():
+    # the traced benchmark run wraps these by name; a rename would drop them
+    tracer = _perfbench("tracer")
+    for mod, name in tracer.FUNCTIONS:
+        assert callable(getattr(importlib.import_module(f"fockdirichlet.{mod}"),
+                                name, None)), (mod, name)
+    for mod, cls, name in tracer.METHODS:
+        owner = getattr(importlib.import_module(f"fockdirichlet.{mod}"), cls)
+        assert callable(vars(owner).get(name)), (mod, cls, name)
 
 
 def test_formats_doc_lists_the_experiment_table():

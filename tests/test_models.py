@@ -239,6 +239,32 @@ def test_model_params_are_checked_and_copied():
     assert replace(spec, lattice=lat).params == spec.params
 
 
+@pytest.mark.parametrize("kind, params, match", [
+    ("z_field", {"kappa": 1.0}, "'kappa' must be a list of numbers"),
+    ("y_field", {"xi": [1.0, "a"]}, "'xi' must be a list of numbers"),
+    ("z_power", {"n": 1.5}, "'n' must be an integer"),
+    ("w_ops", {"selfadjoint": 1}, "'selfadjoint' must be a boolean"),
+    ("g_model", {"kappa": "1"}, "'kappa' must be a number"),
+    ("mean_field_n", {"eps": 0.5j}, "eps in"),
+    ("zjk_quadratic", {"kappa": [1.0, 1.0, 1.0]}, "list of 2 numbers"),
+    ("invariant_aij", {"sites_i": [0.5], "sites_j": [1]}, "'sites_i' must be"),
+], ids=["z_field-kappa", "y_field-xi", "z_power-n", "w_ops-selfadjoint",
+        "g_model-kappa", "mean_field_n-eps", "zjk_quadratic-kappa",
+        "invariant_aij-sites"])
+def test_model_param_types_are_checked(kind, params, match):
+    lat = LatticeConfig(1, 2, "chain", 1.0, 2)
+    with pytest.raises(ValueError, match=match):
+        ModelSpec(kind, lat, params=params)
+
+
+def test_zjk_per_site_coefficients_build():
+    lat = LatticeConfig(1, 2, "chain", 1.0, 2)
+    spec = ModelSpec("zjk_quadratic", lat, params={"kappa": [1.0, 0.5], "eps": 2})
+    Z = build_model(spec).directions[0].X
+    a0, a1 = site_operator(lat, "a", 0), site_operator(lat, "a", 1)
+    assert (Z - (a0 + a1 * 2.0)).fro_norm() < 1e-14
+
+
 def test_g_model_defaults_admit_kappa_zero():
     # with xi at its default 1, kappa = 0 gives Y = A*, a valid model
     spec = ModelSpec("g_model", LatticeConfig(1, 1, "chain", 1.0, 8),
