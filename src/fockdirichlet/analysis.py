@@ -31,6 +31,8 @@ from .state import KmsMetric, decompose_modular
 
 DENSE_GAP_LIMIT = 16384  # superoperator dimension D^2 up to which eigh is used
 CLEAN_SPAN_TOL = 1e-9    # span residual above which the span is not invariant
+ZERO_TOL = 1e-10         # eigenvalues of -L below this count as its kernel
+DECAY_TIMES = 12         # log-spaced times of each ring's decay fit
 
 
 # --------------------------------------------------------------------------
@@ -114,10 +116,11 @@ class GapReport:
     metadata: dict = field(default_factory=dict)
 
 
-def symmetrized_generator(L: Superoperator, metric: KmsMetric | None = None):
-    """S = H K H^-1 in the frame H = G^(1/2) of `KmsMetric.half`, Hermitian
-    for KMS-symmetric K: sparse on a diagonal state, dense otherwise."""
-    metric = metric or L.metric
+def symmetrized_generator(L: Superoperator):
+    """S = H K H^-1 in the frame H = G^(1/2) of the generator's
+    `KmsMetric.half`, Hermitian for KMS-symmetric K: sparse on a diagonal
+    state, dense otherwise."""
+    metric = L.metric
     if metric.state.diagonal:
         w = metric.half(np.ones(L.dim))  # the diagonal of H
         return (sp.diags(w) @ L.matrix @ sp.diags(1.0 / w)).tocsr()
@@ -125,10 +128,9 @@ def symmetrized_generator(L: Superoperator, metric: KmsMetric | None = None):
     return metric.half(metric.half(L.matrix.toarray()).conj().T, -1).conj().T
 
 
-def spectral_gap(L: Superoperator, metric: KmsMetric | None = None,
-                 k: int = 8, *, zero_tol: float = 1e-10,
+def spectral_gap(L: Superoperator, k: int = 8, *,
                  dense_limit: int = DENSE_GAP_LIMIT) -> GapReport:
-    """Low spectrum of the KMS-symmetrized -L.
+    """Low spectrum of -L, symmetrized in the generator's KMS metric.
 
     Dense eigh up to superoperator dimension `dense_limit`, shift-inverted
     Lanczos beyond.  Requires the generator's KMS-symmetry flag.
@@ -137,7 +139,7 @@ def spectral_gap(L: Superoperator, metric: KmsMetric | None = None,
     top-level defect [A, A*] - 1 = -(n_max + 1) P_top.  `clean_eigenvalues`
     is the spectrum of -L restricted to span{I, A_j, A_j*} on the margin-1
     clean compression (see `ladder_span_restriction`), and `clean_gap` its
-    smallest value above `zero_tol`.  Both are None when n_max < 2 (the
+    smallest value above ZERO_TOL.  Both are None when n_max < 2 (the
     clean block loses the ladder span) or when the span residual exceeds
     CLEAN_SPAN_TOL (the span is not invariant); `clean_span_residual` is
     reported whenever the restriction was computed.
@@ -149,11 +151,10 @@ def spectral_gap(L: Superoperator, metric: KmsMetric | None = None,
     sinh(beta/2), and `clean_gap` is the gap itself: the raw gap decreases
     monotonically in n_max onto C/2.
     """
-    metric = metric or L.metric
     if not L.symmetric_in_metric:
         raise ValueError("generator is not flagged KMS-symmetric "
                          f"(residual {L.sym_residual})")
-    S = symmetrized_generator(L, metric)
+    S = symmetrized_generator(L)
     n = S.shape[0]
     idv = vec(identity_operator(L.lattice))
     unit_res = float(np.linalg.norm(L.matrix @ idv) / max(np.linalg.norm(idv), 1.0))
@@ -171,8 +172,8 @@ def spectral_gap(L: Superoperator, metric: KmsMetric | None = None,
         except RuntimeError as exc:  # factorization failure
             raise np.linalg.LinAlgError(
                 f"shift-invert symmetrization failed: {exc}") from exc
-    kernel_dim = int(np.sum(ev < zero_tol))
-    above = ev[ev >= zero_tol]
+    kernel_dim = int(np.sum(ev < ZERO_TOL))
+    above = ev[ev >= ZERO_TOL]
     gap = float(above.min()) if above.size else 0.0
     clean_gap = clean_ev = clean_res = None
     if L.lattice.n_max >= 2:
@@ -180,7 +181,7 @@ def spectral_gap(L: Superoperator, metric: KmsMetric | None = None,
         clean_res = span.residual
         if clean_res <= CLEAN_SPAN_TOL:
             clean_ev = np.sort(np.linalg.eigvals(span.matrix).real)
-            above = clean_ev[clean_ev >= zero_tol]
+            above = clean_ev[clean_ev >= ZERO_TOL]
             clean_gap = float(above.min()) if above.size else 0.0
     return GapReport(eigenvalues=np.sort(ev)[:k], gap=gap, kernel_dim=kernel_dim,
                      unit_kernel_residual=unit_res, clean_gap=clean_gap,
@@ -404,13 +405,13 @@ def graph_laplacian(lattice: LatticeConfig) -> np.ndarray:
 def heat_comparison(lattice: LatticeConfig, *, beta: float = 1.0,
                     kernel: AdmissibleKernel | None = None,
                     edges: str = "ordered", t_grid=(0.2, 0.5, 1.0, 2.0),
-                    kappa0: np.ndarray | None = None,
-                    sign: float = 1.0, seed: int = 0) -> HeatReport:
+                    seed: int = 0) -> HeatReport:
     """Verify the linear-sector reduction of the nearest-neighbour difference
     model: the generator restricted to span{A_j, A_j*} equals
     C * blockdiag(Lg, Lg) with C = 4 eta_hat(0) sinh(beta/2) (ordered edges),
-    and coefficient vectors evolve by the heat semigroup exp(-t C Lg).
-    `seed` draws the generator's random symmetry-test pairs.
+    and coefficient vectors evolve by the heat semigroup exp(-t C Lg), here
+    from the unit coefficient vector at site 0.  The raw semigroup is run on
+    f = A_0 + A_0*.  `seed` draws the generator's random symmetry-test pairs.
     """
     kernel = kernel or AdmissibleKernel()
     if lattice.n_max < 2:
@@ -436,8 +437,7 @@ def heat_comparison(lattice: LatticeConfig, *, beta: float = 1.0,
     restriction_dev = float(np.max(np.abs(R - target)))
     ev = np.sort(np.linalg.eigvals(R).real)
 
-    kappa0 = np.asarray(kappa0 if kappa0 is not None else
-                        np.eye(N)[0], dtype=complex)
+    kappa0 = np.eye(N, dtype=complex)[0]
     RA = R[:N, :N]
     traj_dev = 0.0
     for t in t_grid:
@@ -446,16 +446,12 @@ def heat_comparison(lattice: LatticeConfig, *, beta: float = 1.0,
         traj_dev = max(traj_dev, float(np.max(np.abs(k_impl - k_oracle))))
 
     # raw truncated-semigroup backreaction, reported not asserted
-    basis = span.basis
-    f = None
-    for j in range(N):
-        term = (basis[j] + sign * basis[N + j]) * kappa0[j]
-        f = term if f is None else f + term
+    f = span.basis[0] + span.basis[N]
     full_dev = 0.0
     for t in t_grid:
         sol = span.coefficients(semigroup_apply(K, f, t))
         k_oracle = expm(-t * C * Lg) @ kappa0
-        coef = sol[:N] if sign == 0 else 0.5 * (sol[:N] + np.conj(sign) * sol[N:])
+        coef = 0.5 * (sol[:N] + sol[N:])
         full_dev = max(full_dev, float(np.max(np.abs(coef - k_oracle))))
 
     return HeatReport(span_residual=span.residual, restriction=R,
@@ -487,16 +483,17 @@ class DecayReport:
 
 def polynomial_decay_probe(lengths=(16,), *, beta: float = 1.0,
                            kernel: AdmissibleKernel | None = None,
-                           n_t: int = 12, cross_check_length: int | None = 4,
+                           cross_check_length: int | None = 4,
                            cross_check_n_max: int = 2,
                            seed: int = 0) -> DecayReport:
     """Heat-kernel envelope of sup_j ||delta_{A_j}(P_t f)|| on rings.
 
     In the invariant linear sector the derivation norms are exactly the
     coefficient magnitudes, so the probe runs in coefficient space with the
-    verified heat matrix C * Lg; the log-log slope is fitted inside the
-    window [1/C, L^2/(8 C)].  An optional full-Fock cross-check validates
-    the coefficient computation on a small ring; `seed` is passed on to it.
+    verified heat matrix C * Lg; the log-log slope is fitted at DECAY_TIMES
+    log-spaced times inside the window [1/C, L^2/(8 C)].  An optional
+    full-Fock cross-check validates the coefficient computation on a small
+    ring; `seed` is passed on to it.
     """
     kernel = kernel or AdmissibleKernel()
     C = float(4.0 * kernel.fourier(0.0).real * np.sinh(beta / 2.0))
@@ -508,7 +505,7 @@ def polynomial_decay_probe(lengths=(16,), *, beta: float = 1.0,
         if hi <= lo:
             raise ValueError(f"decay window empty for ring length {L}: "
                              f"[{lo:.3g}, {hi:.3g}]")
-        ts = np.geomspace(lo, hi, n_t)
+        ts = np.geomspace(lo, hi, DECAY_TIMES)
         k0 = np.zeros(L); k0[0] = 1.0
         sup = np.array([np.max(np.abs(expm(-t * C * Lg) @ k0)) for t in ts])
         slope = float(np.polyfit(np.log(ts), np.log(sup), 1)[0])
@@ -697,15 +694,14 @@ def lieb_robinson_probe(chain_length: int = 5, n_max: int = 2, *,
                              "dim": lattice.dim})
 
 
-def _interaction_constant(bonds, norms, lattice: LatticeConfig,
-                          R: float = 1.0) -> float:
+def _interaction_constant(bonds, norms, lattice: LatticeConfig) -> float:
     """c_Phi = 2 sup_O sum over multi-point Phi_{O'} with O' within distance
-    2R of O, from the bonds' supports and 2-norms."""
+    2R of O, R = 1 the bonds' range, from their supports and 2-norms."""
     supports = [set(b.support) for b in bonds]
     best = 0.0
     for O in supports:
         near = {l for l in range(lattice.n_sites)
-                if min(lattice.distance((l,), (s,)) for s in O) <= 2 * R}
+                if min(lattice.distance((l,), (s,)) for s in O) <= 2}
         tot = sum(nb for sb, nb in zip(supports, norms) if sb <= near)
         best = max(best, tot)
     return 2.0 * best

@@ -25,6 +25,9 @@ from scipy.linalg import eigh
 from .fock import LatticeConfig, LatticeOperator, build_mode_ops, clean_projector, \
     compressed, embed, identity_operator
 
+QI_PAIRS = 12       # random polynomial pairs of the quasi-invariance check
+HERM_TOL = 1e-10    # relative anti-Hermitian part U(A, A*) may carry
+
 
 @dataclass(frozen=True)
 class BogolubovParams:
@@ -59,7 +62,7 @@ def bogolubov_pair(params: BogolubovParams, lattice: LatticeConfig, site: int = 
     """Transformed ladder pair at one site, with its CCR defect report."""
     A1, Ad1, _ = build_mode_ops(lattice.n_max)
     a1 = params.tau * A1 + params.theta * Ad1
-    a = embed(a1, [site], lattice, "a")
+    a = embed(a1, site, lattice, "a")
     adag = a.dag()
     comm = (a @ adag - adag @ a) - identity_operator(lattice)
     report = CcrDefectReport(
@@ -138,10 +141,10 @@ class QuasiInvarianceReport:
 
 
 def quasi_invariance_rep(U: LadderPolynomial, path, f: LadderPolynomial,
-                         s: float, n_max: int, *, n_pairs: int = 12,
-                         seed: int = 11, herm_tol: float = 1e-10) -> QuasiInvarianceReport:
+                         s: float, n_max: int, *,
+                         seed: int = 11) -> QuasiInvarianceReport:
     """Evaluate V_s(f) for a parameter path s -> BogolubovParams and measure
-    the KMS-isometry residual over seeded random polynomial pairs.
+    the KMS-isometry residual over QI_PAIRS seeded random polynomial pairs.
 
     path(0) must be the identity transform.
     """
@@ -155,7 +158,7 @@ def quasi_invariance_rep(U: LadderPolynomial, path, f: LadderPolynomial,
     adag = a.conj().T
 
     Um = U.evaluate(A, Adag)
-    if np.linalg.norm(Um - Um.conj().T) > herm_tol * max(np.linalg.norm(Um), 1.0):
+    if np.linalg.norm(Um - Um.conj().T) > HERM_TOL * max(np.linalg.norm(Um), 1.0):
         raise ValueError("U(A, A*) is not Hermitian")
     Us = U.evaluate(a, adag)
 
@@ -181,7 +184,7 @@ def quasi_invariance_rep(U: LadderPolynomial, path, f: LadderPolynomial,
 
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for _ in range(n_pairs):
+    for _ in range(QI_PAIRS):
         pf, pg = random_polynomial(rng), random_polynomial(rng)
         F, G = pf.evaluate(A, Adag), pg.evaluate(A, Adag)
         Fs, Gs = pf.evaluate(a, adag), pg.evaluate(a, adag)

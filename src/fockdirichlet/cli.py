@@ -8,8 +8,10 @@ runner at a given cutoff `n_max` and, for the experiments rerun at
 
 Exit codes: 0 success, 1 experiment assertion failed, 2 config violation
 (schema; unknown params; a missing or invalid `model` block, or one the
-experiment cannot use; an --nmax-override on an experiment that reads no
-`model` block, which has no lattice to override), 3 memory-budget refusal,
+experiment cannot use: one with no direction on its lattice, or one whose
+directions split into more modular components than the eigen path takes;
+an --nmax-override on an experiment that reads no `model` block, which has
+no lattice to override), 3 memory-budget refusal,
 4 numerical failure (Krylov non-convergence or a failed linear-algebra
 routine).  Exits 2, 3 and 4 write no report.
 
@@ -36,7 +38,7 @@ import numpy as np
 
 import jsonschema
 
-from . import analysis, bogolubov, dirichlet, kernels, models
+from . import analysis, bogolubov, dirichlet, kernels, models, state
 from .fock import LatticeConfig, TruncationReport
 from .models import ModelSpec
 
@@ -86,14 +88,28 @@ def _spec(lattice: dict, **model) -> ModelSpec:
         raise ConfigError(f"model: {exc}") from exc
 
 
+def _directed(spec: ModelSpec) -> models.BuiltModel:
+    """The built model, refused unless it has a direction on its lattice."""
+    built = models.build_model(spec)
+    if not built.directions:
+        raise ConfigError(_no_direction(spec))
+    return built
+
+
+def _no_direction(spec: ModelSpec) -> str:
+    lat = spec.lattice
+    return (f"model {spec.kind!r} has no direction on a {lat.geometry} of "
+            f"extent {lat.extent}")
+
+
 def _superoperator_bytes(n_max, spec, p):
     D = spec.lattice.dim
     return 16 * D ** 4, f"D = {D}, superoperator"   # dense D^2 x D^2 complex
 
 
 def _verify(n_max, spec, p, kernel, seed):
+    built = _directed(spec)
     rep = models.verify_algebra(spec)
-    built = models.build_model(spec)
     Ke = dirichlet.assemble_generator(built.directions, built.metric, kernel,
                                       path="eigen", seed=seed)
     Kq = dirichlet.assemble_generator(built.directions, built.metric, kernel,
@@ -111,10 +127,10 @@ def _verify(n_max, spec, p, kernel, seed):
 
 
 def _gap(n_max, spec, p, kernel, seed):
-    built = models.build_model(spec)
+    built = _directed(spec)
     K = dirichlet.assemble_generator(built.directions, built.metric, kernel,
                                      seed=seed)
-    rep = analysis.spectral_gap(K, built.metric, k=p["k"])
+    rep = analysis.spectral_gap(K, k=p["k"])
     n_sites = spec.lattice.n_sites
     # the ladder span carries the bottom of the spectrum only for the
     # one-site mean-field mode; elsewhere its eigenvalues bound the gap
@@ -149,6 +165,8 @@ def _heat(n_max, spec, p, kernel, seed):
                           "block's params, nu and mu must keep their defaults")
     if p["edges"] not in ("ordered", "unordered"):
         raise ConfigError(f"unknown heat edge convention {p['edges']!r}")
+    if not spec.lattice.neighbor_pairs():   # one z_power direction per edge
+        raise ConfigError(_no_direction(spec))
     rep = analysis.heat_comparison(spec.lattice, beta=spec.beta, kernel=kernel,
                                    edges=p["edges"], t_grid=tuple(p["t_grid"]),
                                    seed=seed)
@@ -430,7 +448,7 @@ def _run_one(args):
     try:
         status, _ = run_scenario(cfg, out_dir=out_dir, seed=seed,
                                  nmax_override=nmax, budget_mb=budget)
-    except ConfigError as exc:
+    except (ConfigError, state.ComponentLimitError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except BudgetError as exc:

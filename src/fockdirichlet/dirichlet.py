@@ -47,18 +47,12 @@ CHECK_PAIRS = 20       # random pairs of the symmetry check
 KRYLOV_TOL = 1e-10     # relative size of the last Lanczos correction
 
 
-class MetricMismatchError(ValueError):
-    pass
-
-
 class KrylovError(RuntimeError):
     pass
 
 
-def vec(op) -> np.ndarray:
-    m = op.toarray() if isinstance(op, LatticeOperator) else (
-        op.toarray() if sp.issparse(op) else np.asarray(op))
-    return m.reshape(-1, order="F")
+def vec(op: LatticeOperator | sp.spmatrix) -> np.ndarray:
+    return op.toarray().reshape(-1, order="F")
 
 
 def unvec(v: np.ndarray, lattice: LatticeConfig, label: str = "") -> LatticeOperator:
@@ -142,21 +136,21 @@ def _eigen_components(direction: DerivationDirection, state: GibbsState):
 
 
 def assemble_generator(directions, metric: KmsMetric, kernel: AdmissibleKernel,
-                       path: str = "eigen", *, quad_nodes: int = 16,
-                       check: bool = True, seed: int = 0) -> Superoperator:
+                       path: str = "eigen", *, check: bool = True,
+                       seed: int = 0) -> Superoperator:
     """Assemble K = -L for the given directions, kernel and state.
 
     eigen path:      K = sum_dir sum_{k,l} nu eta_hat((w_l - w_k) beta)
                          delta*_{X_k} delta_{X_l}  + (mu part with X*).
     quadrature path: K = sum_dir integral (nu delta*_{alpha_t(X)}
                          delta_{alpha_t(X)} + mu [X -> X*]) eta(t) dt
-                     on a Gauss-Legendre grid.
+                     on the Gauss-Legendre grid of `kernel.time_grid`.
     """
     state = metric.state
     if path == "eigen":
         feeds = [f for d in directions for f in _eigen_feeds(d, state, kernel)]
     elif path == "quadrature":
-        nodes, weights = kernel.time_grid(nodes_per_panel=quad_nodes)
+        nodes, weights = kernel.time_grid()
         eta_vals = kernel.eta(nodes)
         keep = np.abs(eta_vals) >= 1e-16
         t, c = nodes[keep], weights[keep] * eta_vals[keep]
@@ -286,27 +280,20 @@ def _verify_generator(sup: Superoperator, seed: int):
     sup.symmetric_in_metric = bool(worst <= SYMMETRY_TOL and unit_res <= 1e-10)
 
 
-def dirichlet_energy(f, L: Superoperator, metric: KmsMetric | None = None) -> float:
-    """E(f) = <f, -L f> in the KMS metric (L is stored as K = -L)."""
-    if metric is None:
-        metric = L.metric
-    if L.metric is not None and metric is not L.metric:
-        if metric.state is not L.metric.state:
-            raise MetricMismatchError("energy requested in a metric different "
-                                      "from the generator's")
+def dirichlet_energy(f: LatticeOperator, L: Superoperator) -> float:
+    """E(f) = <f, -L f> in the generator's KMS metric (L is stored as K = -L)."""
     v = vec(f)
-    val = metric.vec_inner(v, L.matrix @ v)
-    return float(val.real)
+    return float(L.metric.vec_inner(v, L.matrix @ v).real)
 
 
-def gamma1(f, L: Superoperator) -> LatticeOperator:
+def gamma1(f: LatticeOperator, L: Superoperator) -> LatticeOperator:
     """Carre du champ: Gamma_1(f) = (L(f*f) - f* L(f) - L(f*) f) / 2.
 
     With the stored K = -L this is -(K(f*f) - f* K(f) - K(f*) f) / 2.
     The result is Hermitian and positive semidefinite for admissible kernels.
     """
     lattice = L.lattice
-    fm = f.matrix if isinstance(f, LatticeOperator) else sp.csr_matrix(f)
+    fm = f.matrix
     fd = fm.conj().T.tocsr()
     K = L.matrix
     Kff = unvec(K @ vec(fd @ fm), lattice).matrix
@@ -319,8 +306,7 @@ def gamma1(f, L: Superoperator) -> LatticeOperator:
 
 
 def gamma1_closed_form(f, directions, metric: KmsMetric,
-                       kernel: AdmissibleKernel, *,
-                       contour_constant: complex | None = None) -> LatticeOperator:
+                       kernel: AdmissibleKernel) -> LatticeOperator:
     """Eigenvector-direction closed form of Gamma_1.
 
     For directions whose X is a single modular eigencomponent with
@@ -332,10 +318,7 @@ def gamma1_closed_form(f, directions, metric: KmsMetric,
     with C = integral (eta(t+i/4) + eta(t-i/4)) dt evaluated by quadrature
     of the smoothed kernel (analytically C = 2 eta_hat(0)).
     """
-    if contour_constant is None:
-        ck = kernel if kernel.sigma > 0 else AdmissibleKernel(kernel.kappa, kernel.n, 0.5)
-        contour_constant = ck.contour_constant()
-    C = contour_constant.real
+    C = _smoothed(kernel).contour_constant().real
     state = metric.state
     out = None
     for direction in directions:
@@ -354,7 +337,7 @@ def gamma1_closed_form(f, directions, metric: KmsMetric,
 
 
 def gamma1_contour_form(f, directions, metric: KmsMetric,
-                        kernel: AdmissibleKernel, *, nodes: int = 16) -> LatticeOperator:
+                        kernel: AdmissibleKernel) -> LatticeOperator:
     """Direct quadrature of the contour representation
 
         2 Gamma_1(f) = integral { |delta_{alpha_{t-i/4}(X*)}(f)|^2
@@ -364,11 +347,12 @@ def gamma1_contour_form(f, directions, metric: KmsMetric,
 
     which reduces to the equal-weight form with the kernel sum
     eta(t+i/4) + eta(t-i/4) when nu = mu.  Requires a smoothed kernel so
-    that the contour line is regular.
+    that the contour line is regular; the raw kernel is smoothed with
+    sigma = 0.5.  The t grid is `time_grid` of the smoothed kernel.
     """
-    ck = kernel if kernel.sigma > 0 else AdmissibleKernel(kernel.kappa, kernel.n, 0.5)
+    ck = _smoothed(kernel)
     st = metric.state
-    tgrid, weights = ck.time_grid(nodes_per_panel=nodes)
+    tgrid, weights = ck.time_grid()
     eta_p = ck.eta_strip(tgrid, +0.25)
     eta_m = ck.eta_strip(tgrid, -0.25)
     out = None
@@ -386,6 +370,11 @@ def gamma1_contour_form(f, directions, metric: KmsMetric,
                                 + (nu * em + mu * ep) * (df.dag() @ df))
             out = term if out is None else out + term
     return out
+
+
+def _smoothed(kernel: AdmissibleKernel) -> AdmissibleKernel:
+    """The kernel itself if smoothed, else its sigma = 0.5 smoothing."""
+    return kernel if kernel.sigma > 0 else AdmissibleKernel(kernel.kappa, kernel.n, 0.5)
 
 
 def semigroup_apply(L: Superoperator, f, t: float, *,
@@ -422,7 +411,6 @@ def _lanczos_expm(apply_S, v: np.ndarray, t: float, kmax: int):
     alph = np.zeros(kmax)
     beta = np.zeros(kmax)
     V[:, 0] = v / nrm
-    prev = None
     w = apply_S(V[:, 0])
     alph[0] = np.real(np.vdot(V[:, 0], w))
     w = w - alph[0] * V[:, 0]

@@ -78,13 +78,6 @@ class LatticeConfig:
     def dim(self) -> int:
         return self.local_dim ** self.n_sites
 
-    def site_index(self, site) -> int:
-        site = _as_tuple(site)
-        try:
-            return self.sites.index(site)
-        except ValueError:
-            raise ValueError(f"site {site} not in lattice") from None
-
     def distance(self, i, j) -> int:
         """l1 lattice distance, wrapped around for the cycle."""
         i, j = _as_tuple(i), _as_tuple(j)
@@ -251,70 +244,37 @@ def identity_operator(lattice: LatticeConfig) -> LatticeOperator:
                            frozenset(), lattice, "I")
 
 
-def embed(op, sites, lattice: LatticeConfig, label: str = "") -> LatticeOperator:
-    """Embed a multi-mode operator acting on `sites` (in the given order),
-    extended by the identity on all remaining modes.
-
-    `op` must be a (d^k, d^k) matrix with d = n_max + 1 and k = len(sites);
-    its i-th Kronecker factor corresponds to the i-th listed site.
-    """
-    site_idx = [s if isinstance(s, int) and not isinstance(s, bool)
-                else lattice.site_index(s) for s in sites]
-    if len(set(site_idx)) != len(site_idx):
-        raise ValueError(f"duplicate sites in {sites}")
-    for s in site_idx:
-        if not 0 <= s < lattice.n_sites:
-            raise ValueError(f"site index {s} outside lattice")
-    d = lattice.local_dim
-    k = len(site_idx)
+def embed(op, site: int, lattice: LatticeConfig, label: str = "") -> LatticeOperator:
+    """The single-mode operator `op` at site index `site`, extended by the
+    identity on all other modes: kron(I_{d^site}, op, I_{d^(n-site-1)})."""
+    d, n = lattice.local_dim, lattice.n_sites
+    if not 0 <= site < n:
+        raise ValueError(f"site index {site} outside lattice")
     op = sp.csr_matrix(op)
-    if op.shape != (d ** k, d ** k):
+    if op.shape != (d, d):
         raise ValueError(f"operator dimension {op.shape} does not match "
-                         f"{k} modes of local dimension {d}")
-    n_rest = lattice.n_sites - k
-    full = sp.kron(op, sp.identity(d ** n_rest, format="csr"), format="csr")
-    # permute modes from [sites..., rest...] into lattice order
-    order = site_idx + [s for s in range(lattice.n_sites) if s not in site_idx]
-    perm = _mode_permutation(order, lattice.n_sites, d)
-    P = sp.csr_matrix((np.ones(lattice.dim), (perm, np.arange(lattice.dim))),
-                      shape=(lattice.dim, lattice.dim))
-    out = P @ full @ P.T
-    return LatticeOperator(_prune(out), frozenset(site_idx), lattice, label)
+                         f"local dimension {d}")
+    out = sp.kron(sp.kron(sp.identity(d ** site, format="csr"), op, format="csr"),
+                  sp.identity(d ** (n - site - 1), format="csr"), format="csr")
+    return LatticeOperator(_prune(out), frozenset({site}), lattice, label)
 
 
-def _mode_permutation(order: list[int], n_sites: int, d: int) -> np.ndarray:
-    """perm[i_old] = i_new where mode `order[k]` holds digit k of i_old."""
-    D = d ** n_sites
-    idx = np.arange(D)
-    digits = []
-    for k in range(n_sites - 1, -1, -1):
-        digits.append(idx % d)
-        idx = idx // d
-    digits = digits[::-1]  # digits[k] = digit of mode k in [sites..., rest...] order
-    new_index = np.zeros(D, dtype=np.int64)
-    for k, mode in enumerate(order):
-        new_index += digits[k] * d ** (n_sites - 1 - mode)
-    return new_index
-
-
-def site_operator(lattice: LatticeConfig, kind: str, site) -> LatticeOperator:
+def site_operator(lattice: LatticeConfig, kind: str, site: int) -> LatticeOperator:
     """Embedded single-site ladder operator; kind in {'a', 'adag', 'n'}."""
     A, Adag, N = build_mode_ops(lattice.n_max)
     op = {"a": A, "adag": Adag, "n": N}[kind]
-    s = site if isinstance(site, int) else lattice.site_index(site)
-    name = {"a": f"A_{s}", "adag": f"A*_{s}", "n": f"N_{s}"}[kind]
-    return embed(op, [s], lattice, name)
+    name = {"a": f"A_{site}", "adag": f"A*_{site}", "n": f"N_{site}"}[kind]
+    return embed(op, site, lattice, name)
 
 
-def mollify(site, epsilon: float, lattice: LatticeConfig):
+def mollify(site: int, epsilon: float, lattice: LatticeConfig):
     """Bounded ladder pair a = (1 + eps * N^(1/2))^(-1) A at one site."""
     if epsilon <= 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
     A, _, _ = build_mode_ops(lattice.n_max)
     scale = 1.0 / (1.0 + epsilon * np.sqrt(np.arange(lattice.n_max + 1)))
     a1 = sp.diags(scale) @ A
-    s = site if isinstance(site, int) else lattice.site_index(site)
-    a = embed(a1, [s], lattice, f"a_{s}")
+    a = embed(a1, site, lattice, f"a_{site}")
     return a, a.dag()
 
 
@@ -333,9 +293,7 @@ def total_sector_projector(lattice: LatticeConfig, max_total: int) -> sp.csr_mat
     return sp.diags(keep).tocsr()
 
 
-def compressed(op: LatticeOperator | sp.spmatrix | np.ndarray,
-               projector: sp.spmatrix) -> np.ndarray:
+def compressed(op: LatticeOperator, projector: sp.spmatrix) -> np.ndarray:
     """Dense P M P restricted to the kept rows/columns of a diagonal projector."""
-    m = op.matrix if isinstance(op, LatticeOperator) else sp.csr_matrix(op)
     keep = np.flatnonzero(projector.diagonal() > 0.5)
-    return m.toarray()[np.ix_(keep, keep)]
+    return op.toarray()[np.ix_(keep, keep)]

@@ -26,6 +26,10 @@ from scipy.integrate import quad
 # below exp(-16 pi) ~ 1e-22 for n = 1 (and smaller for larger n)
 DEFAULT_T_WINDOW = 8.0
 QUAD_TOL = 1e-11
+QUAD_NODES = 16          # Gauss-Legendre nodes per panel of every t grid
+# decay power p and grid size of `admissibility_report`
+DECAY_POWER = 2.0
+ADMISSIBILITY_GRID = 201
 
 
 class QuadratureWarning(UserWarning):
@@ -136,22 +140,23 @@ class AdmissibleKernel:
     def time_window(self) -> float:
         return DEFAULT_T_WINDOW / self.n + 6 * self.sigma
 
-    def time_grid(self, nodes_per_panel: int = 16):
-        """Composite Gauss-Legendre grid on [-T, T] for generator quadrature.
+    def time_grid(self):
+        """Composite Gauss-Legendre grid on [-T, T] for generator quadrature,
+        QUAD_NODES nodes per panel.
 
         The raw kernel has poles at distance 1/(4n) from the real line, so
         panels of width 1/(2n) keep the per-panel Bernstein ellipse wide and
         the rule converges to machine precision.
         """
-        return _gauss_grid(self.time_window(), panel=0.5 / self.n,
-                           nodes_per_panel=nodes_per_panel)
+        return _gauss_grid(self.time_window(), panel=0.5 / self.n)
 
 
-def _gauss_grid(T: float, panel: float = 0.5, nodes_per_panel: int = 16):
-    """Composite Gauss-Legendre nodes and weights on [-T, T]."""
+def _gauss_grid(T: float, panel: float):
+    """Composite Gauss-Legendre nodes and weights on [-T, T], QUAD_NODES
+    per panel."""
     n_panels = max(int(np.ceil(2 * T / panel)), 1)
     edges = np.linspace(-T, T, n_panels + 1)
-    x, w = np.polynomial.legendre.leggauss(nodes_per_panel)
+    x, w = np.polynomial.legendre.leggauss(QUAD_NODES)
     nodes, weights = [], []
     for a, b in zip(edges[:-1], edges[1:]):
         mid, half = 0.5 * (a + b), 0.5 * (b - a)
@@ -176,9 +181,9 @@ class AdmissibilityReport:
     notes: tuple[str, ...]
 
 
-def admissibility_report(kernel: AdmissibleKernel, *, p: float = 2.0,
-                         grid_points: int = 201) -> AdmissibilityReport:
-    """Check the admissibility conditions numerically.
+def admissibility_report(kernel: AdmissibleKernel) -> AdmissibilityReport:
+    """Check the admissibility conditions numerically on ADMISSIBILITY_GRID
+    points, with the decay bound fitted at power p = DECAY_POWER.
 
     Condition 1 (eta >= 0 on R) is tested on the real part; a complex kernel
     (kappa != 0) is flagged rather than failed silently.  Condition 2 is
@@ -186,7 +191,7 @@ def admissibility_report(kernel: AdmissibleKernel, *, p: float = 2.0,
     contour line is singular and the report carries a note instead.
     """
     T = kernel.time_window()
-    t = np.linspace(-T, T, grid_points)
+    t = np.linspace(-T, T, ADMISSIBILITY_GRID)
     notes = []
     vals = kernel.eta(t)
     positive_min = float(np.min(vals.real))
@@ -213,12 +218,12 @@ def admissibility_report(kernel: AdmissibleKernel, *, p: float = 2.0,
     M = 0.0
     for a in np.linspace(-0.249, 0.249, 7):
         va = np.abs(kernel.eta_strip(t, float(a)))
-        M = max(M, float(np.max(va * (1 + np.abs(t)) ** p)))
+        M = max(M, float(np.max(va * (1 + np.abs(t)) ** DECAY_POWER)))
     cond3 = np.isfinite(M)
 
     return AdmissibilityReport(
         positive_min=positive_min, imag_max=imag_max,
         contour_min=contour_min, contour_abs_max=contour_abs_max,
-        decay_M=M, decay_p=p,
+        decay_M=M, decay_p=DECAY_POWER,
         condition1_ok=bool(cond1), condition2_ok=bool(cond2),
         condition3_ok=bool(cond3), notes=tuple(notes))

@@ -58,6 +58,9 @@ MODEL_KINDS = tuple(KINDS)
 # kinds whose state is the product Gibbs state of the number Hamiltonian
 PRODUCT_KINDS = ("z_field", "y_field", "w_ops", "z_power", "y_power",
                  "invariant_aij")
+RECURSION_ORDER = 5   # nested commutators in `mean_field_n_recursion_check`
+RECURSION_TOL = 1e-9
+ORBIT_TOL = 1e-10     # series remainder bound of `mean_field_n_orbit`
 
 
 @dataclass
@@ -132,8 +135,8 @@ def _param_type(kind: str, key: str, default, n_sites: int):
     if key == "edges":
         return (lambda v: v in ("ordered", "unordered")), '"ordered" or "unordered"'
     if key in ("sites_i", "sites_j"):
-        site = lambda s: _integer(s) or (_list_of(_integer)(s) and len(s) > 0)
-        return _list_of(site), "a list of sites (integers or coordinate lists)"
+        return (_list_of(lambda s: _integer(s) and s >= 0),
+                "a list of nonnegative site integers")
     if default is None:
         default = KINDS[kind]["kappa"]
     if isinstance(default, bool):
@@ -154,8 +157,11 @@ class BuiltModel:
     state: GibbsState
     metric: KmsMetric
     directions: list[DerivationDirection]
-    # analytic eigencomponent data per direction, where exact under the
-    # truncated state: list of (operator, frequency) or None
+    # analytic eigencomponent data per direction, or None: a list of
+    # (operator, frequency).  Exact on the full truncated space for the
+    # product-state kinds; for mean_field (alpha_t(X) = e^{i beta t} X) only
+    # on the sector of total occupation <= n_max, where the truncated X and
+    # X* X act as the untruncated ones (see `modular_orbit`)
     orbits: list[list[tuple[LatticeOperator, float]] | None]
     notes: tuple[str, ...] = ()
 
@@ -167,9 +173,9 @@ def _ladder(lattice: LatticeConfig):
 
 def _number_hamiltonian(lattice: LatticeConfig) -> LatticeOperator:
     A, Adag, N = build_mode_ops(lattice.n_max)
-    out = embed(N, [0], lattice, "N_0")
+    out = embed(N, 0, lattice, "N_0")
     for s in range(1, lattice.n_sites):
-        out = out + embed(N, [s], lattice, f"N_{s}")
+        out = out + embed(N, s, lattice, f"N_{s}")
     return out
 
 
@@ -198,14 +204,13 @@ def build_model(spec: ModelSpec) -> BuiltModel:
     lattice, kind, p = spec.lattice, spec.kind, spec.params
     a, ad = _ladder(lattice)
     # the Hamiltonian of the state; the product kinds use the number one
-    product = kind in PRODUCT_KINDS
-    H = _number_hamiltonian(lattice) if product else None
+    H = _number_hamiltonian(lattice) if kind in PRODUCT_KINDS else None
     directions, orbits, notes = [], [], []
 
     if kind in ("mean_field", "mean_field_n"):
         X = _collective(a, 1.0 / np.sqrt(lattice.n_sites))
         X.label = "X"
-        H, product = X.dag() @ X, lattice.n_sites == 1
+        H = X.dag() @ X
         if kind == "mean_field":
             directions.append(DerivationDirection(X, spec.nu, spec.mu))
             orbits.append([(X, 1.0)])
@@ -286,10 +291,7 @@ def build_model(spec: ModelSpec) -> BuiltModel:
         notes.append(f"modular frequency of G is 2R = {2 * R:.6g} up to "
                      "truncation; eigen assembly decomposes numerically")
     elif kind == "invariant_aij":
-        I_sites = [tuple(s) if not isinstance(s, int) else (s,)
-                   for s in p["sites_i"]]
-        J_sites = [tuple(s) if not isinstance(s, int) else (s,)
-                   for s in p["sites_j"]]
+        I_sites, J_sites = p["sites_i"], p["sites_j"]
         freq = float(len(I_sites) - len(J_sites))
         for shift in _aij_shifts(lattice, I_sites, J_sites):
             op = _aij_operator(a, ad, I_sites, J_sites, shift, lattice)
@@ -297,7 +299,7 @@ def build_model(spec: ModelSpec) -> BuiltModel:
                                                   components=[(op, freq)]))
             orbits.append([(op, freq)])
 
-    state = gibbs_state(H, spec.beta, product=product)
+    state = gibbs_state(H, spec.beta)
     return BuiltModel(spec=spec, state=state, metric=KmsMetric(state),
                       directions=directions, orbits=orbits, notes=tuple(notes))
 
@@ -353,11 +355,10 @@ def _z_pair(a, p, shift, lattice):
 
 
 def _aij_shifts(lattice: LatticeConfig, I_sites, J_sites):
-    cells = I_sites + J_sites
+    cells = [*I_sites, *J_sites]
     if lattice.geometry == "cycle":
         return list(range(lattice.n_sites))
-    lo = min(s[0] for s in cells)
-    hi = max(s[0] for s in cells)
+    lo, hi = min(cells), max(cells)
     if lattice.dims != 1:
         raise ValueError("invariant_aij shifts are implemented for 1D lattices")
     return [k - lo for k in range(0, lattice.extents[0] - (hi - lo))]
@@ -366,8 +367,8 @@ def _aij_shifts(lattice: LatticeConfig, I_sites, J_sites):
 def _aij_operator(a, ad, I_sites, J_sites, shift, lattice) -> LatticeOperator:
     def site_at(s):
         if lattice.geometry == "cycle":
-            return (s[0] + shift) % lattice.n_sites
-        return s[0] + shift
+            return (s + shift) % lattice.n_sites
+        return s + shift
     out = None
     for s in I_sites:
         term = a[site_at(s)]
@@ -448,7 +449,7 @@ def verify_algebra(spec: ModelSpec) -> AlgebraReport:
                              lattice, margin=1))
     elif kind == "mean_field_n":
         n = p["n"]
-        checks.extend(mean_field_n_recursion_check(spec, k_max=5))
+        checks.extend(mean_field_n_recursion_check(spec))
         checks.append(_check(f"power_ccr_site0_n{n}",
                              commutator(_pow(a[0], n), _pow(ad[0], n)),
                              _power_ccr(lattice, 0, n), lattice, margin=n))
@@ -496,8 +497,7 @@ def verify_algebra(spec: ModelSpec) -> AlgebraReport:
                     note="sign-corrected four-term combination"))
         if n == m:
             Wjk = _pow(ad[0], n) @ _pow(a[min(1, lattice.n_sites - 1)], m)
-            state = gibbs_state(_number_hamiltonian(lattice), spec.beta,
-                                product=True)
+            state = gibbs_state(_number_hamiltonian(lattice), spec.beta)
             flowed = modular_flow(Wjk, state, 0.7)
             checks.append(IdentityCheck(
                 "modular_invariance", float((flowed - Wjk).fro_norm()), 1e-12,
@@ -591,9 +591,9 @@ def _mean_field_n_basis(spec: ModelSpec):
     return X, U, M
 
 
-def mean_field_n_recursion_check(spec: ModelSpec, k_max: int = 5,
-                                 tol: float = 1e-9) -> list[IdentityCheck]:
-    """Nested commutators ad_U^k(X_n) against the recursion coefficients.
+def mean_field_n_recursion_check(spec: ModelSpec) -> list[IdentityCheck]:
+    """Nested commutators ad_U^k(X_n), k = 1..RECURSION_ORDER, against the
+    recursion coefficients, within RECURSION_TOL.
 
     Both sides are compared on the total-occupation sector <= n_max, where
     the truncated matrices reproduce the untruncated algebra exactly.  The
@@ -605,7 +605,7 @@ def mean_field_n_recursion_check(spec: ModelSpec, k_max: int = 5,
     """
     lattice, n = spec.lattice, spec.params["n"]
     X, U, M = _mean_field_n_basis(spec)
-    coeffs = mean_field_n_coefficients(n, k_max)
+    coeffs = mean_field_n_coefficients(n, RECURSION_ORDER)
     Q = total_sector_projector(lattice, lattice.n_max)
     keep = np.flatnonzero(Q.diagonal() > 0.5)
 
@@ -623,7 +623,7 @@ def mean_field_n_recursion_check(spec: ModelSpec, k_max: int = 5,
 
     checks = []
     cur = M[0]
-    for k in range(1, k_max + 1):
+    for k in range(1, RECURSION_ORDER + 1):
         cur = commutator(U, cur)
         target = comp(cur)
         want = want_vector(k)
@@ -638,13 +638,13 @@ def mean_field_n_recursion_check(spec: ModelSpec, k_max: int = 5,
                     "residual check only")
         checks.append(IdentityCheck(
             name=f"recursion_k{k}", residual=float(max(int_exact, resid)),
-            tol=tol, margin=0, note=note))
+            tol=RECURSION_TOL, margin=0, note=note))
     return checks
 
 
-def mean_field_n_orbit(spec: ModelSpec, t: float, *, tol: float = 1e-10):
+def mean_field_n_orbit(spec: ModelSpec, t: float):
     """alpha_t(X_n) via the coefficient series, with the series order K
-    chosen so the (n+1)^k / k! remainder bound falls below tol.
+    chosen so the (n+1)^k / k! remainder bound falls below ORBIT_TOL.
 
     Returns (operator, K, bound).
     """
@@ -655,7 +655,7 @@ def mean_field_n_orbit(spec: ModelSpec, t: float, *, tol: float = 1e-10):
         K += 1
         term *= x / K
         # remaining tail of sum_{k>K} x^k / k! bounded by geometric series
-        if term < tol / np.e or K > 400:
+        if term < ORBIT_TOL / np.e or K > 400:
             bound = term * np.e
             break
     coeffs = mean_field_n_coefficients(n, K)
@@ -674,6 +674,9 @@ def mean_field_n_orbit(spec: ModelSpec, t: float, *, tol: float = 1e-10):
 # --------------------------------------------------------------------------
 # modular orbits
 # --------------------------------------------------------------------------
+
+_SECTOR_NOTE = "exact on the total-occupation sector <= n_max"
+
 
 class OrbitUnsupportedError(ValueError):
     """State is not number-conserving; only the quadrature path applies."""
@@ -715,17 +718,21 @@ class ModularOrbit:
 def modular_orbit(built: BuiltModel, index: int) -> ModularOrbit:
     """Analytic modular orbit of one direction.
 
-    Product states give exact eigencomponent decompositions.  The quadratic
-    edge model reduces to a one-particle matrix: alpha_t(A_l) =
-    sum_m [exp(i beta t h)]_{lm} A_m, valid on the total-occupation sector
-    <= n_max.  Non-number-conserving states raise OrbitUnsupportedError.
+    Product states give exact eigencomponent decompositions.  The mean-field
+    mode, alpha_t(X) = exp(i beta t) X, and the quadratic edge model, which
+    reduces to a one-particle matrix: alpha_t(A_l) =
+    sum_m [exp(i beta t h)]_{lm} A_m, are exact only on the total-occupation
+    sector <= n_max; their orbits say so in `note`.  Non-number-conserving
+    states raise OrbitUnsupportedError.
     """
     spec = built.spec
     if spec.kind == "g_model":
         raise OrbitUnsupportedError(
             "g_model state is not number-conserving; use the quadrature path")
     if built.orbits[index] is not None:
-        return ModularOrbit(built.orbits[index], spec.beta)
+        note = f"alpha_t(X) = exp(i beta t) X; {_SECTOR_NOTE}" \
+            if spec.kind == "mean_field" else ""
+        return ModularOrbit(built.orbits[index], spec.beta, note=note)
     if spec.kind == "zjk_quadratic":
         kap, eps, edges = _edge_fields(spec)
         j, k = edges[index]
@@ -737,7 +744,7 @@ def modular_orbit(built: BuiltModel, index: int) -> ModularOrbit:
             one_particle_matrix=one_particle_matrix(spec),
             initial_coefficients=c0, site_ops=_ladder(spec.lattice)[0],
             note=f"alpha_t(Z_{j},{k}) = sum_m c_m(t) A_m with "
-                 "c(t) = exp(i beta t h)^T c0")
+                 f"c(t) = exp(i beta t h)^T c0; {_SECTOR_NOTE}")
     if spec.kind == "mean_field_n":
         raise OrbitUnsupportedError(
             "mean_field_n orbit is provided by mean_field_n_orbit")

@@ -34,10 +34,18 @@ HERM_TOL = 1e-12     # relative anti-Hermitian part a Hamiltonian may carry
 CONDITION_LIMIT = 1e12
 # complex entries per batch of eigenbasis rotations in `modular_flows`
 FLOW_BATCH = 1 << 21
+# modular frequencies closer than this share a component in `decompose_modular`
+CLUSTER_TOL = 1e-9
+# relative residual below which `eigen_detect` accepts an eigenoperator
+EIGEN_TOL = 1e-9
 
 
 class ConditionWarning(UserWarning):
     pass
+
+
+class ComponentLimitError(ValueError):
+    """A direction splits into more modular components than allowed."""
 
 
 @dataclass
@@ -49,7 +57,6 @@ class GibbsState:
     energies: np.ndarray            # eigenvalues of H
     eigvecs: np.ndarray | None      # None when H is diagonal (fast path)
     log_Z: float
-    product: bool = False           # H is a sum of single-site terms
 
     @property
     def dim(self) -> int:
@@ -98,8 +105,7 @@ class GibbsState:
         return V @ m @ V.conj().T
 
 
-def gibbs_state(H, beta: float, *, lattice: LatticeConfig | None = None,
-                product: bool | None = None) -> GibbsState:
+def gibbs_state(H: LatticeOperator, beta: float) -> GibbsState:
     """Build the Gibbs state of a Hermitian lattice Hamiltonian.
 
     The partition constant is handled in the shifted log domain, so extreme
@@ -107,13 +113,7 @@ def gibbs_state(H, beta: float, *, lattice: LatticeConfig | None = None,
     """
     if beta <= 0:
         raise ValueError(f"beta must be positive, got {beta}")
-    if isinstance(H, LatticeOperator):
-        lattice = H.lattice
-        m = H.matrix
-    else:
-        if lattice is None:
-            raise ValueError("lattice required when H is a bare matrix")
-        m = sp.csr_matrix(H)
+    m = H.matrix
     scale = max(sp.linalg.norm(m), 1.0)
     if sp.linalg.norm(m - m.conj().T) > HERM_TOL * scale:
         raise ValueError("Hamiltonian is not Hermitian within tolerance")
@@ -122,15 +122,12 @@ def gibbs_state(H, beta: float, *, lattice: LatticeConfig | None = None,
     if off.nnz == 0 or sp.linalg.norm(off) <= 1e-14 * scale:
         energies = np.real(m.diagonal().copy())
         eigvecs = None
-        diag = True
     else:
         energies, eigvecs = np.linalg.eigh(m.toarray())
-        diag = False
     log_Z = float(logsumexp(-beta * energies))
-    if product is None:
-        product = diag
-    return GibbsState(lattice=lattice, beta=beta, energies=np.asarray(energies, float),
-                      eigvecs=eigvecs, log_Z=log_Z, product=product)
+    return GibbsState(lattice=H.lattice, beta=beta,
+                      energies=np.asarray(energies, float), eigvecs=eigvecs,
+                      log_Z=log_Z)
 
 
 @dataclass
@@ -139,9 +136,8 @@ class KmsMetric:
 
     state: GibbsState
 
-    def inner(self, f, g) -> complex:
-        fm = f.matrix if isinstance(f, LatticeOperator) else sp.csr_matrix(f)
-        gm = g.matrix if isinstance(g, LatticeOperator) else sp.csr_matrix(g)
+    def inner(self, f: LatticeOperator, g: LatticeOperator) -> complex:
+        fm, gm = f.matrix, g.matrix
         if fm.shape != gm.shape or fm.shape[0] != self.state.dim:
             raise ValueError("operator dimensions do not match the state")
         if self.state.diagonal:
@@ -156,9 +152,9 @@ class KmsMetric:
         v = self.inner(f, f)
         return float(np.sqrt(max(v.real, 0.0)))
 
-    def expectation(self, f) -> complex:
+    def expectation(self, f: LatticeOperator) -> complex:
         """omega(f) = Tr(rho f)."""
-        fm = f.matrix if isinstance(f, LatticeOperator) else sp.csr_matrix(f)
+        fm = f.matrix
         if self.state.diagonal:
             p = self.state.probabilities
             return complex(np.sum(p * fm.diagonal()))
@@ -197,14 +193,13 @@ class KmsMetric:
         return complex(np.vdot(self.half(x), self.half(y)))
 
 
-def lp_norm(f, state: GibbsState, p: int, s: float) -> float:
+def lp_norm(f: LatticeOperator, state: GibbsState, p: int, s: float) -> float:
     """||f||_{omega,p,s} = (Tr |rho^((1-s)/p) f rho^(s/p)|^p)^(1/p)."""
     if not (isinstance(p, (int, np.integer)) and p >= 1):
         raise ValueError(f"p must be an integer >= 1, got {p}")
     if not 0.0 <= s <= 1.0:
         raise ValueError(f"s must lie in [0, 1], got {s}")
-    fm = f.toarray() if isinstance(f, LatticeOperator) else np.asarray(
-        f.toarray() if sp.issparse(f) else f)
+    fm = f.toarray()
     left = state.power((1.0 - s) / p)
     right = state.power(s / p)
     left = left.toarray() if sp.issparse(left) else left
@@ -213,7 +208,7 @@ def lp_norm(f, state: GibbsState, p: int, s: float) -> float:
     return float(np.sum(sv ** p) ** (1.0 / p))
 
 
-def modular_flows(X, state: GibbsState, zs) -> sp.csr_matrix:
+def modular_flows(X: LatticeOperator, state: GibbsState, zs) -> sp.csr_matrix:
     """alpha_z(X) for every z in `zs`: a (len(zs), D^2) CSR whose row n is
     the row-major flattening of alpha_{zs[n]}(X), pruned at PRUNE_TOL.
 
@@ -227,7 +222,7 @@ def modular_flows(X, state: GibbsState, zs) -> sp.csr_matrix:
         if abs(np.imag(z)) > DEFAULT_GUARD + 1e-12:
             raise ValueError(f"|Im z| = {abs(np.imag(z))} exceeds guard strip "
                              f"{DEFAULT_GUARD}")
-    Xm = X.matrix if isinstance(X, LatticeOperator) else sp.csr_matrix(X)
+    Xm = X.matrix
     D = state.dim
     logu = 1j * zs[:, None] * state.log_p[None, :]  # rho^{iz} eigenvalues = exp(logu)
     spread = np.max(logu.real, axis=1) - np.min(logu.real, axis=1)
@@ -257,44 +252,45 @@ def modular_flows(X, state: GibbsState, zs) -> sp.csr_matrix:
                          shape=(len(zs), D * D))
 
 
-def modular_flow(X, state: GibbsState, z: complex) -> LatticeOperator:
+def modular_flow(X: LatticeOperator, state: GibbsState, z: complex) -> LatticeOperator:
     """alpha_z(X) = rho^(iz) X rho^(-iz), guarded on the imaginary strip:
-    the one-row case of `modular_flows`."""
-    lattice = X.lattice if isinstance(X, LatticeOperator) else state.lattice
+    the one-row case of `modular_flows`.  Its support is the whole lattice."""
+    lattice = X.lattice
     out = modular_flows(X, state, [z]).reshape((state.dim, state.dim))
-    support = X.support if (isinstance(X, LatticeOperator) and state.product) \
-        else frozenset(range(lattice.n_sites))
-    label = f"alpha_{z}({X.label})" if isinstance(X, LatticeOperator) else ""
-    return LatticeOperator(out, support, lattice, label)
+    return LatticeOperator(out, frozenset(range(lattice.n_sites)), lattice,
+                           f"alpha_{z}({X.label})")
 
 
-def eigen_detect(X, state: GibbsState, tol: float = 1e-9) -> float | None:
+def eigen_detect(X: LatticeOperator, state: GibbsState) -> float | None:
     """Detect xi with alpha_{i/2}(X) = exp(xi) X, else None.
 
     xi is recovered as the log of the Rayleigh ratio <X, alpha_{i/2}(X)>_F /
-    <X, X>_F and accepted only when the residual stays below tol * ||X||_F.
+    <X, X>_F and accepted only when the residual stays below
+    EIGEN_TOL * ||X||_F.
     """
-    Xm = X.matrix if isinstance(X, LatticeOperator) else sp.csr_matrix(X)
+    Xm = X.matrix
     nrm = sp.linalg.norm(Xm)
     if nrm == 0:
         raise ValueError("eigen_detect requires a nonzero operator")
     Y = modular_flow(X, state, 0.5j).matrix
     c = complex((Xm.conj().multiply(Y)).sum() / nrm ** 2)
-    if sp.linalg.norm(Y - c * Xm) > tol * nrm:
+    if sp.linalg.norm(Y - c * Xm) > EIGEN_TOL * nrm:
         return None
-    if c.real <= 0 or abs(c.imag) > tol * abs(c):
+    if c.real <= 0 or abs(c.imag) > EIGEN_TOL * abs(c):
         return None
     return float(np.log(c.real))
 
 
-def decompose_modular(X, state: GibbsState, *, cluster_tol: float = 1e-9,
+def decompose_modular(X: LatticeOperator, state: GibbsState, *,
                       max_components: int = 64):
     """Split X into modular eigencomponents under the given state.
 
     In the H eigenbasis the entry (i, j) of X evolves with frequency
     omega_ij = -(h_i - h_j), i.e. alpha_t(X_ij) = exp(i beta omega_ij t) X_ij.
-    Entries are bucketed by omega within cluster_tol; the returned list holds
-    (component operator, omega) pairs with X = sum of components.
+    Entries are bucketed by omega within CLUSTER_TOL; the returned list holds
+    (component operator, omega) pairs with X = sum of components, each with
+    the whole lattice as support.  More than `max_components` buckets raise
+    ComponentLimitError.
     """
     lattice = X.lattice
     Xe = state.to_eigenbasis(X.matrix)
@@ -313,15 +309,16 @@ def decompose_modular(X, state: GibbsState, *, cluster_tol: float = 1e-9,
     buckets: list[tuple[float, list[int]]] = []
     for idx in order:
         w = omega[idx]
-        if buckets and abs(w - buckets[-1][0]) <= cluster_tol:
+        if buckets and abs(w - buckets[-1][0]) <= CLUSTER_TOL:
             buckets[-1][1].append(idx)
         else:
             buckets.append((float(w), [idx]))
     if len(buckets) > max_components:
-        raise ValueError(
+        raise ComponentLimitError(
             f"direction {X.label!r} splits into {len(buckets)} modular "
             f"components (limit {max_components}); no usable finite "
             "eigendecomposition under this state")
+    support = frozenset(range(lattice.n_sites))
     comps = []
     for w, idxs in buckets:
         idxs = np.asarray(idxs)
@@ -329,6 +326,6 @@ def decompose_modular(X, state: GibbsState, *, cluster_tol: float = 1e-9,
                           shape=Xe.shape)
         m_full = sp.csr_matrix(state.from_eigenbasis(m.toarray())) \
             if not state.diagonal else m
-        comps.append((LatticeOperator(_prune(m_full), X.support, lattice,
+        comps.append((LatticeOperator(_prune(m_full), support, lattice,
                                       f"{X.label}[w={w:.3g}]"), w))
     return comps

@@ -117,7 +117,7 @@ def test_criterion_2_kms_selfadjointness():
             scale = np.sqrt(abs(metric.vec_inner(vf, vf))
                             * abs(metric.vec_inner(vg, vg)))
             worst_sym = max(worst_sym, abs(lhs - rhs) / max(scale, 1e-300))
-        S = symmetrized_generator(K, metric)
+        S = symmetrized_generator(K)
         S = S.toarray() if sp.issparse(S) else S
         ev = np.linalg.eigvalsh(0.5 * (S + S.conj().T))
         worst_psd = min(worst_psd, float(ev.min()))
@@ -250,7 +250,7 @@ def _meanfield_gap_report(n_max, beta=1.0):
     lat = LatticeConfig(1, 1, "chain", 1.0, n_max)
     built = build_model(ModelSpec("mean_field", lat, beta=beta))
     K = assemble_generator(built.directions, built.metric, KERNEL)
-    return spectral_gap(K, built.metric)
+    return spectral_gap(K)
 
 
 def _meanfield_gap(n_max, beta=1.0):

@@ -23,7 +23,7 @@ def test_meanfield_gap_positive_and_kernel(kernel):
     lat = LatticeConfig(1, 1, "chain", 1.0, 4)
     built = build_model(ModelSpec("mean_field", lat))
     K = assemble_generator(built.directions, built.metric, kernel)
-    rep = spectral_gap(K, built.metric)
+    rep = spectral_gap(K)
     assert rep.gap > 0
     assert rep.kernel_dim == 1
     assert rep.unit_kernel_residual < 1e-10
@@ -34,7 +34,7 @@ def _meanfield_gap_report(kernel, n_sites, n_max, beta):
     lat = LatticeConfig(1, n_sites, "chain", 1.0, n_max)
     built = build_model(ModelSpec("mean_field", lat, beta=beta))
     K = assemble_generator(built.directions, built.metric, kernel)
-    return spectral_gap(K, built.metric)
+    return spectral_gap(K)
 
 
 @pytest.mark.parametrize("beta", [0.5, 1.0, 2.0])
@@ -84,7 +84,7 @@ def test_gap_requires_symmetry_flag(kernel):
     built = build_model(ModelSpec("mean_field", lat))
     K = assemble_generator(built.directions, built.metric, kernel, check=False)
     with pytest.raises(ValueError):
-        spectral_gap(K, built.metric)
+        spectral_gap(K)
 
 
 def test_selfadjoint_w_model_not_ergodic(kernel):
@@ -92,7 +92,7 @@ def test_selfadjoint_w_model_not_ergodic(kernel):
     built = build_model(ModelSpec("w_ops", lat,
                                   params={"n": 1, "m": 1, "selfadjoint": True}))
     K = assemble_generator(built.directions, built.metric, kernel)
-    rep = spectral_gap(K, built.metric)
+    rep = spectral_gap(K)
     assert rep.kernel_dim > 1
 
 
@@ -367,8 +367,8 @@ def test_gap_iterative_solver_agrees_with_dense(kernel):
     lat = LatticeConfig(1, 1, "chain", 1.0, 4)
     built = build_model(ModelSpec("mean_field", lat))
     K = assemble_generator(built.directions, built.metric, kernel)
-    dense = spectral_gap(K, built.metric)
-    iterative = spectral_gap(K, built.metric, k=6, dense_limit=0)
+    dense = spectral_gap(K)
+    iterative = spectral_gap(K, k=6, dense_limit=0)
     assert iterative.metadata["solver"] == "shift-invert"
     assert iterative.gap == pytest.approx(dense.gap, abs=1e-8)
     assert iterative.kernel_dim == dense.kernel_dim
@@ -385,4 +385,4 @@ def test_shift_invert_failure_is_a_linalg_error(kernel, monkeypatch):
     built = build_model(ModelSpec("mean_field", lat))
     K = assemble_generator(built.directions, built.metric, kernel)
     with pytest.raises(np.linalg.LinAlgError, match="shift-invert"):
-        spectral_gap(K, built.metric, dense_limit=0)
+        spectral_gap(K, dense_limit=0)

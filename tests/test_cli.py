@@ -178,7 +178,7 @@ def test_gap_clean_gap_role(tmp_path):
     lat = LatticeConfig(1, 3, "cycle", 1.0, 2)
     built = build_model(ModelSpec("z_power", lat))
     rep = spectral_gap(assemble_generator(built.directions, built.metric,
-                                          AdmissibleKernel()), built.metric)
+                                          AdmissibleKernel()))
     assert rep.clean_gap > 3 * rep.gap
     model = {"kind": "z_power", "beta": 1.0,
              "lattice": {"dims": 1, "extent": 2, "geometry": "chain",
@@ -375,12 +375,24 @@ def _model(kind="z_power", n_max=2, **params):
     {"experiment": "verify", "model": _model("z_field", kappa=1.0)},
     {"experiment": "verify", "model": _model(n=1.5)},
     {"experiment": "verify", "model": _model("zjk_quadratic", kappa=[1, 1, 1])},
+    # models with no direction on the 2-site chain
+    {"experiment": "gap", "model": _model("z_field", kappa=[1, 1, 1])},
+    {"experiment": "verify", "model": _model("z_field", kappa=[1, 1, 1])},
+    {"experiment": "verify",
+     "model": _model("invariant_aij", sites_i=[5], sites_j=[1])},
+    {"experiment": "gap",
+     "model": _model("invariant_aij", sites_i=[-1], sites_j=[0])},
+    {"experiment": "heat", "model": {**_model(), "lattice": {
+        "dims": 1, "extent": 1, "geometry": "chain", "n_max": 2}}},
 ], ids=["verify-no-model", "gap-no-model", "heat-no-model",
         "mean_field_n-n1", "scaling-unknown-kind", "heat-mean_field",
         "heat-nmax1", "scaling-unknown-test", "heat-unknown-edges",
         "verify-unknown-model-param", "verify-unknown-model-edges",
         "scaling-unknown-model-param", "heat-model-params", "heat-model-nu",
-        "z_field-scalar-kappa", "z_power-float-n", "zjk-kappa-length"])
+        "z_field-scalar-kappa", "z_power-float-n", "zjk-kappa-length",
+        "gap-z_field-no-direction", "verify-z_field-no-direction",
+        "verify-aij-no-direction", "gap-aij-negative-site",
+        "heat-one-site"])
 def test_config_the_run_cannot_use_exits_2(tmp_path, capsys, overrides):
     p = write_config(tmp_path, **overrides)
     cfg = json.loads(p.read_text())
@@ -389,6 +401,21 @@ def test_config_the_run_cannot_use_exits_2(tmp_path, capsys, overrides):
     assert main(["--config", str(p), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_component_limit_exits_2(tmp_path, capsys):
+    # every zjk_quadratic direction splits into more modular components than
+    # the scaling forms take
+    p = write_config(tmp_path, experiment="scaling", model=None, params={
+        "kind": "zjk_quadratic", "sizes": [2, 3], "n_max": 1,
+        "model_params": {}})
+    cfg = json.loads(p.read_text())
+    p.write_text(json.dumps({k: v for k, v in cfg.items() if v is not None}))
+    out = tmp_path / "out"
+    assert main(["--config", str(p), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "modular components" in err
     assert not out.exists()
 
 
@@ -450,6 +477,29 @@ def test_benchmark_trace_targets_resolve():
     for mod, cls, name in tracer.METHODS:
         owner = getattr(importlib.import_module(f"fockdirichlet.{mod}"), cls)
         assert callable(vars(owner).get(name)), (mod, cls, name)
+
+
+def test_benchmark_trace_reports_every_declared_metric(tmp_path):
+    # one pass of every workload under the tracer yields each per-layer
+    # metric the benchmark declares, except the two its runner adds itself;
+    # a traced function left uncalled would be missing here
+    from fockdirichlet import cli
+    root = SCENARIOS.parent
+    workloads, tracer = _perfbench("workloads"), _perfbench("tracer")
+    tr = tracer.Tracer()
+    with tr.installed():
+        for name in workloads.NAMES:
+            out = tmp_path / name
+            for path in workloads.write(workloads.build(root, name),
+                                        out / "configs"):
+                status, _ = cli.run_scenario(cli.load_config(str(path)),
+                                             out_dir=str(out), seed=1)
+                assert status == 0, path.stem
+    declared = json.loads((root / "BENCHMARK.json").read_text())["per_layer"]
+    metrics = tr.metrics()
+    missing = [m["name"] for m in declared if m["name"] not in metrics
+               and m["name"] not in ("src.lines", "trace.overhead_s")]
+    assert missing == []
 
 
 def test_formats_doc_lists_the_experiment_table():

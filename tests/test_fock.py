@@ -47,12 +47,14 @@ def test_ccr_clean_subspace():
 
 
 def test_embed_single_site_kron():
-    lat = LatticeConfig(1, 2, "chain", 1.0, 1)
-    A, _, _ = build_mode_ops(1)
-    full = embed(A, [0], lat)
-    assert np.allclose(full.toarray(), np.kron(A.toarray(), np.eye(2)))
-    full1 = embed(A, [1], lat)
-    assert np.allclose(full1.toarray(), np.kron(np.eye(2), A.toarray()))
+    # kron(I_{d^s}, op, I_{d^(n-s-1)}) at every site of a 3-site chain
+    lat = LatticeConfig(1, 3, "chain", 1.0, 2)
+    A, _, _ = build_mode_ops(2)
+    for s in range(3):
+        full = embed(A, s, lat, f"A_{s}")
+        want = np.kron(np.kron(np.eye(3 ** s), A.toarray()), np.eye(3 ** (2 - s)))
+        assert np.array_equal(full.toarray(), want)
+        assert full.support == frozenset({s}) and full.label == f"A_{s}"
 
 
 def test_embedded_disjoint_supports_commute():
@@ -63,28 +65,15 @@ def test_embedded_disjoint_supports_commute():
     assert a0.support == frozenset({0})
 
 
-def test_embed_composition_matches_two_mode_embedding():
-    lat = LatticeConfig(1, 3, "chain", 1.0, 2)
-    A, _, _ = build_mode_ops(2)
-    two_mode = sp.kron(A, A)
-    prod = site_operator(lat, "a", 1) @ site_operator(lat, "a", 0)
-    direct = embed(two_mode, [0, 1], lat)
-    assert (prod - direct).fro_norm() < 1e-14
-    # out-of-order site list permutes the factors
-    swapped = embed(two_mode, [1, 0], lat)
-    prod_swapped = site_operator(lat, "a", 1) @ site_operator(lat, "a", 0)
-    assert (swapped - prod_swapped).fro_norm() < 1e-14
-
-
 def test_embed_errors():
     lat = LatticeConfig(1, 2, "chain", 1.0, 1)
     A, _, _ = build_mode_ops(1)
     with pytest.raises(ValueError):
-        embed(A, [0, 0], lat)
+        embed(np.eye(3), 0, lat)
     with pytest.raises(ValueError):
-        embed(np.eye(3), [0], lat)
+        embed(A, 5, lat)
     with pytest.raises(ValueError):
-        embed(A, [5], lat)
+        embed(A, -1, lat)
 
 
 def test_mollify_entries():

@@ -184,9 +184,19 @@ def test_one_particle_reduction():
         flowed = modular_flow(built.directions[0].X, built.state, t)
         diff = compressed(recon - flowed, Q)
         assert np.linalg.norm(diff, 2) < 1e-8
+    assert "sector <= n_max" in orbit.note
     # single-site flow coefficients stay normalized under the unitary
     c = one_particle_flow(spec, 0, 0.9)
     assert c.shape == (2,)
+    # the mean-field orbit alpha_t(X) = e^{i beta t} X is exact on the same
+    # sector only: above it the cutoff breaks [X* X, X] = -X
+    built = build_model(ModelSpec("mean_field", lat))
+    orbit = modular_orbit(built, 0)
+    assert "sector <= n_max" in orbit.note
+    diff = orbit.reconstruct(0.7) - modular_flow(built.directions[0].X,
+                                                 built.state, 0.7)
+    assert np.abs(compressed(diff, Q)).max() < 1e-13
+    assert abs(diff.matrix).max() > 1.0
 
 
 def test_g_model_orbit_unsupported():

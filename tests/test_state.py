@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from fockdirichlet import (KmsMetric, LatticeConfig, commutator, eigen_detect,
-                           gibbs_state, lp_norm, modular_flow, modular_flows,
-                           site_operator)
+from fockdirichlet import (KmsMetric, LatticeConfig, ModelSpec, build_model,
+                           commutator, eigen_detect, gibbs_state, lp_norm,
+                           modular_flow, modular_flows, site_operator)
 from fockdirichlet.state import ConditionWarning, decompose_modular
 
 from conftest import random_op
@@ -174,6 +174,23 @@ def test_decompose_modular_product_state(two_site):
     mixed = a0 + a0.dag()
     comps = decompose_modular(mixed, state)
     assert sorted(w for _, w in comps) == pytest.approx([-1.0, 1.0])
+
+
+def test_flows_and_components_keep_superset_support():
+    # a support must cover every site an operator acts on: under the
+    # interacting 3-site zjk_quadratic state, the flows and modular components
+    # of Z_0,1 commute with A_s and A*_s at each site s outside their support
+    lat = LatticeConfig(1, 3, "chain", 1.0, 1)
+    built = build_model(ModelSpec("zjk_quadratic", lat))
+    Z = built.directions[0].X
+    assert Z.label == "Z_0,1"
+    ops = [modular_flow(Z, built.state, t) for t in (0.3, 1.1, 0.5j)]
+    ops += [c for c, _ in decompose_modular(Z, built.state)]
+    for op in ops:
+        for s in set(range(lat.n_sites)) - op.support:
+            for kind in ("a", "adag"):
+                comm = commutator(op, site_operator(lat, kind, s))
+                assert comm.fro_norm() < 1e-12, (op.label, s, kind)
 
 
 def _mixed_state():
