@@ -22,7 +22,7 @@ from .bogolubov import (BogolubovParams, LadderPolynomial, bogolubov_pair,
                         quasi_invariance_rep)
 from .analysis import (GapReport, HeatReport, LRReport, ScalingReport,
                        graph_laplacian, heat_comparison, lieb_robinson_probe,
-                       polynomial_decay_probe, quadratic_form_energy,
-                       rayleigh_scaling, spectral_gap)
+                       polynomial_decay_probe, rayleigh_scaling,
+                       spectral_gap)
 
 __version__ = "0.1.0"

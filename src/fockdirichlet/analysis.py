@@ -22,7 +22,8 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import expm
 
-from .dirichlet import Superoperator, assemble_generator, semigroup_apply, vec
+from .dirichlet import (Superoperator, _eigen_blocks, assemble_generator,
+                        semigroup_apply, vec)
 from .fock import (LatticeConfig, LatticeOperator, clean_projector, commutator,
                    identity_operator, mollify, site_operator)
 from .kernels import AdmissibleKernel
@@ -169,7 +170,7 @@ def spectral_gap(L: Superoperator, k: int = 8, *,
         try:
             ev = np.sort(eigsh(Ss, k=min(k, n - 2), sigma=-1e-6,
                                which="LM", return_eigenvectors=False))
-        except RuntimeError as exc:  # factorization failure
+        except (RuntimeError, SystemError) as exc:  # factorization failure
             raise np.linalg.LinAlgError(
                 f"shift-invert symmetrization failed: {exc}") from exc
     kernel_dim = int(np.sum(ev < ZERO_TOL))
@@ -197,38 +198,21 @@ def spectral_gap(L: Superoperator, k: int = 8, *,
 def direction_energies(directions, metric: KmsMetric, kernel: AdmissibleKernel,
                        f, derivation=None) -> list[float]:
     """Per-direction terms of E(f) = <f, -L f> from the modular components
-    (X_k, w_k), without assembling the D^2 x D^2 generator:
-    nu sum_kl eta_hat((w_l - w_k) beta) <delta_{X_k} f, delta_{X_l} f>, plus
-    mu times the same over X_k* with w_k - w_l.  `derivation(X, f)` returns
-    delta_X f on the metric's lattice; the default is i [X, f].
+    (X_k, w_k), without assembling the D^2 x D^2 generator: for each block
+    (ops, C) of `dirichlet._eigen_blocks` the term sum_kl C_kl (V^dag V)_kl
+    with V = H [vec delta_{X_k} f, ...] in the metric's frame H = G^(1/2),
+    so (V^dag V)_kl = <delta_{X_k} f, delta_{X_l} f>.  `derivation(X, f)`
+    returns delta_X f on the metric's lattice; the default is i [X, f].
     """
     derivation = derivation or (lambda X, g: (X @ g - g @ X) * 1j)
-    beta = metric.state.beta
     out = []
     for direction in directions:
-        comps = direction.components
-        if comps is None:
-            comps = decompose_modular(direction.X, metric.state)
-        total = 0.0 + 0.0j
-        for weight, sign, ops in ((direction.nu, 1.0, [X for X, _ in comps]),
-                                  (direction.mu, -1.0, [X.dag() for X, _ in comps])):
-            if not weight:
-                continue
-            dfs = [derivation(X, f) for X in ops]
-            for k, (_, wk) in enumerate(comps):
-                for l, (_, wl) in enumerate(comps):
-                    coef = kernel.fourier(sign * (wl - wk) * beta)
-                    if coef == 0:
-                        continue
-                    total += weight * coef * metric.inner(dfs[k], dfs[l])
-        out.append(total.real)
+        total = 0.0
+        for ops, C in _eigen_blocks(direction, metric.state, kernel):
+            V = metric.half(np.stack([vec(derivation(X, f)) for X in ops], axis=1))
+            total += np.sum(C * (V.conj().T @ V)).real
+        out.append(float(total))
     return out
-
-
-def quadratic_form_energy(directions, metric: KmsMetric,
-                          kernel: AdmissibleKernel, f) -> float:
-    """E(f) = <f, -L f>, the sum of `direction_energies`."""
-    return float(sum(direction_energies(directions, metric, kernel, f)))
 
 
 # --------------------------------------------------------------------------

@@ -148,7 +148,8 @@ def assemble_generator(directions, metric: KmsMetric, kernel: AdmissibleKernel,
     """
     state = metric.state
     if path == "eigen":
-        feeds = [f for d in directions for f in _eigen_feeds(d, state, kernel)]
+        feeds = [(*_eigen_triples(ops, state), C) for d in directions
+                 for ops, C in _eigen_blocks(d, state, kernel)]
     elif path == "quadrature":
         nodes, weights = kernel.time_grid()
         eta_vals = kernel.eta(nodes)
@@ -165,30 +166,28 @@ def assemble_generator(directions, metric: KmsMetric, kernel: AdmissibleKernel,
     return sup
 
 
-def _eigen_feeds(direction: DerivationDirection, state: GibbsState,
-                 kernel: AdmissibleKernel):
-    """Triples and eta_hat coefficients of one direction's eigencomponents.
-
-    The components of X* are the adjoints with frequencies -omega_k.  The
-    adjoint multipliers are flows rather than the scalar form
-    e^{-/+xi} X_k*, which keeps delta*_{X_k} exact when a numerically
-    decomposed component only approximately clusters a frequency bucket.
+def _eigen_blocks(direction: DerivationDirection, state: GibbsState,
+                  kernel: AdmissibleKernel):
+    """[(ops, C)]: one block per nonzero weight, nu over the eigencomponents
+    X_k and mu over their adjoints, with C_kl = weight eta_hat((w_l - w_k) beta)
+    in the nu block.  The components of X* are the X_k* with frequencies
+    -w_k, so the mu block's table is the transpose of the same eta_hat table.
     """
     comps = _eigen_components(direction, state)
     if not comps:
         return []
-    omegas = [w for _, w in comps]
-    feeds = []
-    for weight, sign, ops in ((direction.nu, 1.0, [c for c, _ in comps]),
-                              (direction.mu, -1.0, [c.dag() for c, _ in comps])):
-        if weight:
-            coef = [[weight * kernel.fourier(sign * (wl - wk) * state.beta)
-                     for wl in omegas] for wk in omegas]
-            feeds.append((*_eigen_triples(ops, state), coef))
-    return feeds
+    w = np.array([w for _, w in comps])
+    eta = kernel.fourier((w[None, :] - w[:, None]) * state.beta)
+    return [(ops, weight * table) for weight, ops, table in (
+        (direction.nu, [c for c, _ in comps], eta),
+        (direction.mu, [c.dag() for c, _ in comps], eta.T)) if weight]
 
 
 def _eigen_triples(ops, state: GibbsState):
+    """Stacks (Wm, Wp, Y) of eigencomponents.  The adjoint multipliers are
+    flows rather than the scalar form e^{-/+xi} X_k*, which keeps
+    delta*_{X_k} exact when a numerically decomposed component only
+    approximately clusters a frequency bucket."""
     return (_rows([modular_flow(op.dag(), state, -0.5j).matrix for op in ops]),
             _rows([modular_flow(op.dag(), state, 0.5j).matrix for op in ops]),
             _rows([op.matrix for op in ops]))
@@ -289,8 +288,12 @@ def dirichlet_energy(f: LatticeOperator, L: Superoperator) -> float:
 def gamma1(f: LatticeOperator, L: Superoperator) -> LatticeOperator:
     """Carre du champ: Gamma_1(f) = (L(f*f) - f* L(f) - L(f*) f) / 2.
 
-    With the stored K = -L this is -(K(f*f) - f* K(f) - K(f*) f) / 2.
-    The result is Hermitian and positive semidefinite for admissible kernels.
+    With the stored K = -L this is -(K(f*f) - f* K(f) - K(f*) f) / 2,
+    returned as the definition gives it.  It is Hermitian, and positive
+    semidefinite for admissible kernels, when nu = mu in every direction
+    (then L(f*) = L(f)*) and for single-eigencomponent directions at any
+    weights (see `gamma1_closed_form`).  Otherwise E(f*) swaps nu and mu, and
+    Gamma_1(f) has an anti-Hermitian part, which `gamma1_contour_form` has too.
     """
     lattice = L.lattice
     fm = f.matrix
@@ -300,7 +303,6 @@ def gamma1(f: LatticeOperator, L: Superoperator) -> LatticeOperator:
     Kf = unvec(K @ vec(fm), lattice).matrix
     Kfd = unvec(K @ vec(fd), lattice).matrix
     g = -0.5 * (Kff - fd @ Kf - Kfd @ fm)
-    g = 0.5 * (g + g.conj().T)  # symmetrize away roundoff
     return LatticeOperator(_prune(g), frozenset(range(lattice.n_sites)), lattice,
                            "Gamma1")
 
@@ -348,28 +350,31 @@ def gamma1_contour_form(f, directions, metric: KmsMetric,
     which reduces to the equal-weight form with the kernel sum
     eta(t+i/4) + eta(t-i/4) when nu = mu.  Requires a smoothed kernel so
     that the contour line is regular; the raw kernel is smoothed with
-    sigma = 0.5.  The t grid is `time_grid` of the smoothed kernel.
+    sigma = 0.5.  The t grid is `time_grid` of the smoothed kernel, without
+    the nodes where both strip values vanish.  The flows Y_n at every node
+    come from one `modular_flows` call per operator, and with the stack
+    S = [delta_{Y_1} f; delta_{Y_2} f; ...] the sum sum_n c_n |delta_{Y_n} f|^2
+    is the single product S^dag diag(c) S.
     """
     ck = _smoothed(kernel)
     st = metric.state
+    D = st.dim
     tgrid, weights = ck.time_grid()
     eta_p = ck.eta_strip(tgrid, +0.25)
     eta_m = ck.eta_strip(tgrid, -0.25)
-    out = None
-    for direction in directions:
-        X = direction.X
-        nu, mu = direction.nu, direction.mu
-        for t, w, ep, em in zip(tgrid, weights, eta_p, eta_m):
-            if abs(ep) + abs(em) < 1e-15:
-                continue
-            Y = modular_flow(X, st, t - 0.25j)
-            Yd = modular_flow(X.dag(), st, t - 0.25j)
-            df = (Y @ f - f @ Y) * 1j
-            dfs = (Yd @ f - f @ Yd) * 1j
-            term = (0.5 * w) * ((nu * ep + mu * em) * (dfs.dag() @ dfs)
-                                + (nu * em + mu * ep) * (df.dag() @ df))
-            out = term if out is None else out + term
-    return out
+    keep = np.abs(eta_p) + np.abs(eta_m) >= 1e-15
+    z = tgrid[keep] - 0.25j
+    w, ep, em = 0.5 * weights[keep], eta_p[keep], eta_m[keep]
+    flows, coefs = [], []
+    for d in directions:
+        flows += [modular_flows(d.X.dag(), st, z), modular_flows(d.X, st, z)]
+        coefs += [w * (d.nu * ep + d.mu * em), w * (d.nu * em + d.mu * ep)]
+    Y = sp.vstack(flows, format="csr").reshape((-1, D))     # [Y_1; Y_2; ...]
+    fm = f.matrix
+    S = 1j * (Y @ fm - sp.kron(sp.identity(Y.shape[0] // D), fm) @ Y)
+    g = S.conj().T @ sp.diags(np.repeat(np.concatenate(coefs), D)) @ S
+    return LatticeOperator(_prune(g.tocsr()), frozenset(range(st.lattice.n_sites)),
+                           st.lattice, "Gamma1")
 
 
 def _smoothed(kernel: AdmissibleKernel) -> AdmissibleKernel:
@@ -401,46 +406,48 @@ def semigroup_apply(L: Superoperator, f, t: float, *,
 
 
 def _lanczos_expm(apply_S, v: np.ndarray, t: float, kmax: int):
-    """exp(-t S) v for Hermitian PSD S given as a matvec callable."""
+    """exp(-t S) v for Hermitian PSD S given as a matvec callable.
+
+    Lanczos with full reorthogonalization, the basis stored as the rows of V.
+    The k-step approximation is V_k^T c_k with the small coefficient vector
+    c_k = nrm exp(-t T_k) e_1.  V is orthonormal, so the correction between
+    steps has the norm of c_k - (c_{k-1}, 0); the iteration stops once that
+    falls to KRYLOV_TOL * max(nrm, 1), and the result is formed once.
+    """
     nrm = np.linalg.norm(v)
     if nrm == 0:
         return v
     n = v.size
     kmax = min(kmax, n)
-    V = np.zeros((n, kmax), dtype=complex)
+    V = np.zeros((kmax, n), dtype=complex)
     alph = np.zeros(kmax)
     beta = np.zeros(kmax)
-    V[:, 0] = v / nrm
-    w = apply_S(V[:, 0])
-    alph[0] = np.real(np.vdot(V[:, 0], w))
-    w = w - alph[0] * V[:, 0]
+    V[0] = v / nrm
+    w = apply_S(V[0])
+    alph[0] = np.real(np.vdot(V[0], w))
+    w = w - alph[0] * V[0]
     k = 1
-    result = None
     last = None
     delta = np.inf
     while True:
         b = np.linalg.norm(w)
-        # evaluate the current Krylov approximation
         T = np.diag(alph[:k]) + np.diag(beta[1:k], 1) + np.diag(beta[1:k], -1)
         ew, Q = np.linalg.eigh(T)
         small = Q @ (np.exp(-t * ew) * Q[0, :].conj()) * nrm
-        result = V[:, :k] @ small
-        if last is not None:
-            delta = np.linalg.norm(result - last)
-            if delta <= KRYLOV_TOL * max(nrm, 1.0):
-                return result
-        last = result
-        if b < 1e-14 or k >= kmax:
-            if b < 1e-14:
-                return result
+        if k > 1:
+            delta = np.linalg.norm(small - np.append(last, 0.0))
+        if delta <= KRYLOV_TOL * max(nrm, 1.0) or b < 1e-14:
+            return small @ V[:k]
+        if k >= kmax:
             raise KrylovError(
                 f"Krylov exponential did not converge within {kmax} vectors "
                 f"(last correction {delta:.2e})")
+        last = small
         beta[k] = b
-        V[:, k] = w / b
-        w = apply_S(V[:, k]) - b * V[:, k - 1]
-        alph[k] = np.real(np.vdot(V[:, k], w))
-        w = w - alph[k] * V[:, k]
+        V[k] = w / b
+        w = apply_S(V[k]) - b * V[k - 1]
+        alph[k] = np.real(np.vdot(V[k], w))
+        w = w - alph[k] * V[k]
         # full reorthogonalization keeps the tridiagonal honest
-        w -= V[:, :k + 1] @ (V[:, :k + 1].conj().T @ w)
+        w -= (V[:k + 1].conj() @ w) @ V[:k + 1]
         k += 1

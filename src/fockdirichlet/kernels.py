@@ -92,12 +92,12 @@ class AdmissibleKernel:
 
     # --- Fourier transform -----------------------------------------------
 
-    def fourier(self, s: float) -> complex:
-        """Closed-form eta_hat(s)."""
+    def fourier(self, s):
+        """Closed-form eta_hat(s), elementwise for an array s."""
         val = (1.0 / (2 * self.n)) / np.cosh((s + self.kappa) / (4 * self.n))
         if self.sigma > 0:
             val *= np.exp(-self.sigma ** 2 * s ** 2 / 2.0)
-        return complex(val)
+        return val + 0j
 
     def fourier_quad(self, s: float, tol: float = QUAD_TOL) -> complex:
         """eta_hat(s) by adaptive quadrature of the raw kernel.

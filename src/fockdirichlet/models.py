@@ -114,6 +114,8 @@ class ModelSpec:
             raise ValueError("g_model requires (kappa, xi) != 0")
         if kind == "invariant_aij" and not (p["sites_i"] and p["sites_j"]):
             raise ValueError("invariant_aij requires nonempty site sets I and J")
+        if kind == "invariant_aij" and self.lattice.dims != 1:
+            raise ValueError("invariant_aij shifts are implemented for 1D lattices")
 
 
 def _number(v) -> bool:
@@ -359,8 +361,6 @@ def _aij_shifts(lattice: LatticeConfig, I_sites, J_sites):
     if lattice.geometry == "cycle":
         return list(range(lattice.n_sites))
     lo, hi = min(cells), max(cells)
-    if lattice.dims != 1:
-        raise ValueError("invariant_aij shifts are implemented for 1D lattices")
     return [k - lo for k in range(0, lattice.extents[0] - (hi - lo))]
 
 

@@ -9,8 +9,7 @@ from fockdirichlet import (AdmissibleKernel, DerivationDirection, LatticeConfig,
                            LatticeOperator, ModelSpec, assemble_generator,
                            build_model, graph_laplacian, heat_comparison,
                            lieb_robinson_probe, polynomial_decay_probe,
-                           quadratic_form_energy, rayleigh_scaling,
-                           site_operator, spectral_gap)
+                           rayleigh_scaling, site_operator, spectral_gap)
 from fockdirichlet.analysis import (_charge, _sector_blocks, direction_energies,
                                     sector_sizes, symmetrized_generator)
 
@@ -96,15 +95,20 @@ def test_selfadjoint_w_model_not_ergodic(kernel):
     assert rep.kernel_dim > 1
 
 
-def test_quadratic_form_matches_superoperator(kernel, rng):
-    from fockdirichlet import KmsMetric, dirichlet_energy
+@pytest.mark.parametrize("kind, params, nu, mu", [
+    ("z_power", {"n": 1, "m": 1}, 1.0, 1.0),
+    ("mean_field", {}, 0.7, 1.3),
+    ("zjk_quadratic", {}, 0.7, 1.3)],
+    ids=["z_power", "mean_field", "zjk_quadratic"])
+def test_quadratic_form_matches_superoperator(kernel, rng, kind, params, nu, mu):
+    from fockdirichlet import dirichlet_energy
     lat = LatticeConfig(1, 2, "chain", 1.0, 2)
-    built = build_model(ModelSpec("z_power", lat, params={"n": 1, "m": 1}))
+    built = build_model(ModelSpec(kind, lat, nu=nu, mu=mu, params=params))
     K = assemble_generator(built.directions, built.metric, kernel)
     from conftest import random_op
     for _ in range(5):
         f = random_op(rng, lat)
-        direct = quadratic_form_energy(built.directions, built.metric, kernel, f)
+        direct = sum(direction_energies(built.directions, built.metric, kernel, f))
         via_superop = dirichlet_energy(f, K)
         assert direct == pytest.approx(via_superop, abs=1e-9 * max(1, abs(via_superop)))
 
@@ -374,11 +378,12 @@ def test_gap_iterative_solver_agrees_with_dense(kernel):
     assert iterative.kernel_dim == dense.kernel_dim
 
 
-def test_shift_invert_failure_is_a_linalg_error(kernel, monkeypatch):
+@pytest.mark.parametrize("error", [RuntimeError, SystemError])
+def test_shift_invert_failure_is_a_linalg_error(kernel, monkeypatch, error):
     import scipy.sparse.linalg
 
     def failing(*args, **kwargs):
-        raise RuntimeError("factor is exactly singular")
+        raise error("factor is exactly singular")
 
     monkeypatch.setattr(scipy.sparse.linalg, "eigsh", failing)
     lat = LatticeConfig(1, 1, "chain", 1.0, 4)

@@ -384,6 +384,9 @@ def _model(kind="z_power", n_max=2, **params):
      "model": _model("invariant_aij", sites_i=[-1], sites_j=[0])},
     {"experiment": "heat", "model": {**_model(), "lattice": {
         "dims": 1, "extent": 1, "geometry": "chain", "n_max": 2}}},
+    {"experiment": "verify", "model": {
+        **_model("invariant_aij", sites_i=[0], sites_j=[1]), "lattice": {
+            "dims": 2, "extent": 2, "geometry": "box", "n_max": 2}}},
 ], ids=["verify-no-model", "gap-no-model", "heat-no-model",
         "mean_field_n-n1", "scaling-unknown-kind", "heat-mean_field",
         "heat-nmax1", "scaling-unknown-test", "heat-unknown-edges",
@@ -392,7 +395,7 @@ def _model(kind="z_power", n_max=2, **params):
         "z_field-scalar-kappa", "z_power-float-n", "zjk-kappa-length",
         "gap-z_field-no-direction", "verify-z_field-no-direction",
         "verify-aij-no-direction", "gap-aij-negative-site",
-        "heat-one-site"])
+        "heat-one-site", "verify-aij-box"])
 def test_config_the_run_cannot_use_exits_2(tmp_path, capsys, overrides):
     p = write_config(tmp_path, **overrides)
     cfg = json.loads(p.read_text())

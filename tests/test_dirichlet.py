@@ -245,6 +245,15 @@ def test_gamma1_unequal_weights(single_mode, kernel, rng):
     assert (lhs - rhs).norm() < 1e-8 * max(1.0, lhs.norm())
     closed = gamma1_closed_form(f, [d], metric, kernel)
     assert (lhs - closed).norm() < 1e-8 * max(1.0, lhs.norm())
+    # two modular components: E(f*) swaps nu and mu, so Gamma_1(f) is not
+    # Hermitian, and the contour form carries the same anti-Hermitian part
+    smooth = AdmissibleKernel(sigma=0.5)
+    for nu, mu in ((1.0, 0.0), (0.7, 1.9)):
+        d = DerivationDirection(a @ a + a.dag() * 0.5, nu=nu, mu=mu)
+        lhs = gamma1(f, assemble_generator([d], metric, smooth))
+        rhs = gamma1_contour_form(f, [d], metric, smooth)
+        assert (lhs - rhs).norm() < 1e-8 * lhs.norm()
+        assert (lhs - lhs.dag()).norm() > 1e-3 * lhs.norm()
 
 
 def test_schwartz_inequality_semigroup(single_mode, kernel, rng):
