@@ -194,8 +194,12 @@ def _eigen_triples(ops, state: GibbsState):
 
 
 def _rows(mats) -> sp.csr_matrix:
-    """Stack of the row-major flattenings of D x D matrices, (N x D^2)."""
-    return sp.vstack([m.reshape((1, -1)) for m in mats], format="csr")
+    """Stack of the row-major flattenings of D x D CSR matrices, (N x D^2),
+    as one CSR: entry (r, c) of matrix k goes to row k, column D r + c."""
+    D = mats[0].shape[1]
+    cols = [m.indices + D * np.repeat(np.arange(D), np.diff(m.indptr)) for m in mats]
+    return sp.csr_matrix((np.concatenate([m.data for m in mats]), np.concatenate(cols),
+                          np.cumsum([0] + [m.nnz for m in mats])), shape=(len(mats), D * D))
 
 
 def _quadrature_feeds(direction: DerivationDirection, state: GibbsState,
@@ -382,41 +386,45 @@ def _smoothed(kernel: AdmissibleKernel) -> AdmissibleKernel:
     return kernel if kernel.sigma > 0 else AdmissibleKernel(kernel.kappa, kernel.n, 0.5)
 
 
-def semigroup_apply(L: Superoperator, f, t: float, *,
-                    max_krylov: int = 220) -> LatticeOperator:
-    """P_t f = exp(t L) f = exp(-t K) vec(f).
+def semigroup_apply(L: Superoperator, f, t, *, max_krylov: int = 220):
+    """P_t f = exp(t L) f = exp(-t K) vec(f) at one time t, or the list of
+    results at the times of a 1-D sequence t.
 
     A generator flagged KMS-symmetric is Hermitian in the frame of its
     metric, S = H K H^-1 (see `KmsMetric.half`), and exp(-t S) is taken by a
-    Lanczos Krylov exponential; any other generator goes to scipy's
-    expm_multiply.  Raises KrylovError with the achieved residual when the
-    Krylov iteration fails to converge.
+    Lanczos Krylov exponential, one basis for all the times; any other
+    generator goes to scipy's expm_multiply, once per time.  Raises
+    KrylovError with the achieved residual when the Krylov iteration fails
+    to converge.
     """
-    if t < 0:
+    times = np.atleast_1d(np.asarray(t, dtype=float))
+    if np.any(times < 0):
         raise ValueError(f"semigroup time must be nonnegative, got {t}")
     v = vec(f).astype(complex)
-    if t == 0:
-        return unvec(v, L.lattice)
-    if L.metric is None or not L.symmetric_in_metric:
-        from scipy.sparse.linalg import expm_multiply
-        return unvec(expm_multiply(-t * L.matrix.tocsc(), v), L.lattice)
-    half, K = L.metric.half, L.matrix
-    y = _lanczos_expm(lambda x: half(K @ half(x, -1)), half(v), t, max_krylov)
-    return unvec(half(y, -1), L.lattice)
+    ys, run = np.tile(v, (times.size, 1)), times > 0
+    if run.any() and L.metric is not None and L.symmetric_in_metric:
+        half, K = L.metric.half, L.matrix
+        ys[run] = half(_lanczos_expm(lambda x: half(K @ half(x, -1)), half(v),
+                                     times[run], max_krylov).T, -1).T
+    elif run.any():
+        ys[run] = [sp.linalg.expm_multiply(-s * L.matrix.tocsc(), v)
+                   for s in times[run]]
+    out = [unvec(y, L.lattice) for y in ys]
+    return out if np.ndim(t) else out[0]
 
 
-def _lanczos_expm(apply_S, v: np.ndarray, t: float, kmax: int):
-    """exp(-t S) v for Hermitian PSD S given as a matvec callable.
-
-    Lanczos with full reorthogonalization, the basis stored as the rows of V.
-    The k-step approximation is V_k^T c_k with the small coefficient vector
-    c_k = nrm exp(-t T_k) e_1.  V is orthonormal, so the correction between
-    steps has the norm of c_k - (c_{k-1}, 0); the iteration stops once that
-    falls to KRYLOV_TOL * max(nrm, 1), and the result is formed once.
+def _lanczos_expm(apply_S, v: np.ndarray, times: np.ndarray, kmax: int):
+    """exp(-t S) v for each t of `times` (as rows), S Hermitian PSD given as
+    a matvec callable: Lanczos with full reorthogonalization, one basis for
+    all the times, stored as the rows of V.  At step k the coefficient rows
+    c_k(t) = nrm exp(-t T_k) e_1 form one (n_times, k) array, and V is
+    orthonormal, so the correction at time t has the norm of
+    c_k(t) - (c_{k-1}(t), 0); the iteration stops once the worst time's
+    correction falls to KRYLOV_TOL * max(nrm, 1), and forms c_k V_k once.
     """
     nrm = np.linalg.norm(v)
     if nrm == 0:
-        return v
+        return np.zeros((times.size, v.size), dtype=complex)
     n = v.size
     kmax = min(kmax, n)
     V = np.zeros((kmax, n), dtype=complex)
@@ -433,9 +441,10 @@ def _lanczos_expm(apply_S, v: np.ndarray, t: float, kmax: int):
         b = np.linalg.norm(w)
         T = np.diag(alph[:k]) + np.diag(beta[1:k], 1) + np.diag(beta[1:k], -1)
         ew, Q = np.linalg.eigh(T)
-        small = Q @ (np.exp(-t * ew) * Q[0, :].conj()) * nrm
+        small = (np.exp(-np.outer(times, ew)) * Q[0]) @ Q.T * nrm
         if k > 1:
-            delta = np.linalg.norm(small - np.append(last, 0.0))
+            delta = np.linalg.norm(small - np.pad(last, ((0, 0), (0, 1))),
+                                   axis=1).max()
         if delta <= KRYLOV_TOL * max(nrm, 1.0) or b < 1e-14:
             return small @ V[:k]
         if k >= kmax:
@@ -448,6 +457,7 @@ def _lanczos_expm(apply_S, v: np.ndarray, t: float, kmax: int):
         w = apply_S(V[k]) - b * V[k - 1]
         alph[k] = np.real(np.vdot(V[k], w))
         w = w - alph[k] * V[k]
-        # full reorthogonalization keeps the tridiagonal honest
-        w -= (V[:k + 1].conj() @ w) @ V[:k + 1]
+        # full reorthogonalization keeps the tridiagonal honest; (V w*)* is
+        # V* w without a conjugated copy of the basis
+        w -= (V[:k + 1] @ w.conj()).conj() @ V[:k + 1]
         k += 1

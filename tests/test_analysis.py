@@ -10,8 +10,9 @@ from fockdirichlet import (AdmissibleKernel, DerivationDirection, LatticeConfig,
                            build_model, graph_laplacian, heat_comparison,
                            lieb_robinson_probe, polynomial_decay_probe,
                            rayleigh_scaling, site_operator, spectral_gap)
-from fockdirichlet.analysis import (_charge, _sector_blocks, direction_energies,
-                                    sector_sizes, symmetrized_generator)
+from fockdirichlet.analysis import (DENSE_GAP_LIMIT, _charge, _sector_blocks,
+                                    direction_energies, sector_sizes,
+                                    symmetrized_generator)
 
 
 # --------------------------------------------------------------------------
@@ -244,6 +245,23 @@ def test_heat_comparison_two_site(kernel):
     assert rep.raw_span_residual > 1e-3
 
 
+def test_heat_comparison_runs_one_semigroup_per_trajectory(kernel, monkeypatch):
+    from fockdirichlet import analysis
+    calls = []
+    real = analysis.semigroup_apply
+
+    def counted(K, f, t, **kw):
+        calls.append(t)
+        return real(K, f, t, **kw)
+
+    monkeypatch.setattr(analysis, "semigroup_apply", counted)
+    lat = LatticeConfig(1, 2, "chain", 1.0, 2)
+    t_grid = (0.2, 0.5, 1.0, 2.0)
+    rep = heat_comparison(lat, kernel=kernel, t_grid=t_grid)
+    assert calls == [t_grid]
+    assert 1e-4 < rep.full_semigroup_deviation < 1.0
+
+
 def test_heat_cycle_laplacian_spectrum(kernel):
     lat = LatticeConfig(1, 4, "cycle", 1.0, 2)
     rep = heat_comparison(lat, kernel=kernel, t_grid=(0.5,))
@@ -367,12 +385,21 @@ def test_particle_number_charge_guard():
                                          for n in range(len(sectors) - 1)]
 
 
-def test_gap_iterative_solver_agrees_with_dense(kernel):
-    lat = LatticeConfig(1, 1, "chain", 1.0, 4)
-    built = build_model(ModelSpec("mean_field", lat))
+@pytest.mark.parametrize("kind, lattice", [
+    ("mean_field", (1, 1, "chain", 1.0, 4)),
+    # D^2 = 1296, just above DENSE_GAP_LIMIT: shift-invert by default
+    ("z_power", (1, 2, "chain", 1.0, 5)),
+    # an 11-dimensional kernel, wider than the k = 6 eigenvalues asked for
+    ("mean_field_n", (1, 3, "chain", 1.0, 2)),
+], ids=["mean_field", "z_power_above_limit", "mean_field_n_wide_kernel"])
+def test_gap_iterative_solver_agrees_with_dense(kernel, kind, lattice):
+    lat = LatticeConfig(*lattice)
+    built = build_model(ModelSpec(kind, lat))
     K = assemble_generator(built.directions, built.metric, kernel)
-    dense = spectral_gap(K)
+    dense = spectral_gap(K, dense_limit=K.dim)
     iterative = spectral_gap(K, k=6, dense_limit=0)
+    assert spectral_gap(K, k=6).metadata["solver"] == (
+        "dense" if K.dim <= DENSE_GAP_LIMIT else "shift-invert")
     assert iterative.metadata["solver"] == "shift-invert"
     assert iterative.gap == pytest.approx(dense.gap, abs=1e-8)
     assert iterative.kernel_dim == dense.kernel_dim

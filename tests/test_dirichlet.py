@@ -394,6 +394,54 @@ def test_krylov_nonconvergence_reported(single_mode, kernel, rng):
         semigroup_apply(K, f, 3.0, max_krylov=3)
 
 
+def _times_case(case, kernel):
+    """(K, lattice): the one-mode generator on its diagonal state, unchecked
+    (the expm_multiply fallback), or the dense-state mean_field generator."""
+    if case == "dense_state":
+        lat = LatticeConfig(1, 2, "chain", 1.0, 3)
+        built = build_model(ModelSpec("mean_field", lat))
+        return assemble_generator(built.directions, built.metric, kernel), lat
+    lat = LatticeConfig(1, 1, "chain", 1.0, 4)
+    metric = KmsMetric(gibbs_state(site_operator(lat, "n", 0), 1.0))
+    direction = DerivationDirection(site_operator(lat, "a", 0))
+    return assemble_generator([direction], metric, kernel,
+                              check=case != "unchecked"), lat
+
+
+@pytest.mark.parametrize("case", ["diagonal", "dense_state", "unchecked"])
+def test_semigroup_times_share_one_basis(case, kernel, rng):
+    from fockdirichlet.dirichlet import KrylovError
+    K, lat = _times_case(case, kernel)
+    assert K.symmetric_in_metric == (case != "unchecked")
+    f = random_op(rng, lat)
+    times = [0.0, 0.3, 1.7]
+    many = semigroup_apply(K, f, times)
+    assert len(many) == len(times)
+    for t, got in zip(times, many):
+        one = semigroup_apply(K, f, t)
+        dense = unvec(expm(-t * K.matrix.toarray()) @ vec(f), lat)
+        assert (got - one).fro_norm() <= 1e-10 * one.fro_norm()
+        assert (got - dense).fro_norm() <= 1e-9 * dense.fro_norm()
+    with pytest.raises(ValueError):
+        semigroup_apply(K, f, [0.3, -0.1, 1.0])
+    if K.symmetric_in_metric:
+        with pytest.raises(KrylovError, match="did not converge within 3"):
+            semigroup_apply(K, f, [0.3, 3.0], max_krylov=3)
+
+
+def test_rows_is_one_csr_of_row_major_flattenings(rng):
+    from fockdirichlet.dirichlet import _rows
+    D = 6
+    mats = [sp.random(D, D, density=d, random_state=rng, format="csr",
+                      dtype=complex) for d in (0.3, 0.0, 1.0, 0.05)]
+    assert mats[1].nnz == 0
+    ref = sp.vstack([m.reshape((1, -1)) for m in mats], format="csr")
+    got = _rows(mats)
+    assert got.shape == (len(mats), D * D)
+    for attr in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(got, attr), getattr(ref, attr))
+
+
 # --------------------------------------------------------------------------
 # the shared assembly kernel
 # --------------------------------------------------------------------------
