@@ -49,18 +49,14 @@ class SpanRestriction:
     matrix: np.ndarray                # K b_m = sum_l matrix[l, m] b_l (clean)
     residual: float                   # worst clean projection residual
     raw_residual: float               # same projection on the full space
-    keep: np.ndarray = field(repr=False)          # clean-block basis states
+    clean: np.ndarray = field(repr=False)         # vec rows of the clean block
     clean_basis: np.ndarray = field(repr=False)   # compressed basis columns
 
-    def coefficients(self, op) -> np.ndarray:
-        """Least-squares coordinates of the clean compression of `op`."""
-        sol, *_ = np.linalg.lstsq(self.clean_basis, _clean_vec(op, self.keep),
-                                  rcond=None)
-        return sol
-
-
-def _clean_vec(op, keep) -> np.ndarray:
-    return op.matrix.toarray()[np.ix_(keep, keep)].reshape(-1)
+    def coefficients(self, ops) -> np.ndarray:
+        """Least-squares coordinates of the clean compressions of `ops`, one
+        column per operator."""
+        Y = np.stack([vec(op) for op in ops], axis=1)[self.clean]
+        return np.linalg.lstsq(self.clean_basis, Y, rcond=None)[0]
 
 
 def ladder_span_restriction(K: Superoperator, *,
@@ -73,35 +69,30 @@ def ladder_span_restriction(K: Superoperator, *,
     column is measured relative to the compressed identity instead.
     """
     lattice = K.lattice
-    N = lattice.n_sites
+    N, D = lattice.n_sites, lattice.dim
     basis = ([identity_operator(lattice)] if unit else []) + \
         [site_operator(lattice, "a", j) for j in range(N)] + \
         [site_operator(lattice, "adag", j) for j in range(N)]
     keep = np.flatnonzero(clean_projector(lattice, 1).diagonal() > 0.5)
-    Bc = np.stack([_clean_vec(b, keep) for b in basis], axis=1)
+    clean = (keep[:, None] + D * keep[None, :]).reshape(-1)
     Bf = np.stack([vec(b) for b in basis], axis=1)
-
-    R = np.zeros((len(basis), len(basis)), complex)
-    span_res = 0.0
-    raw_span_res = 0.0
-    for m, b in enumerate(basis):
-        img = K.apply(b)
-        y = _clean_vec(img, keep)
-        sol, *_ = np.linalg.lstsq(Bc, y, rcond=None)
-        R[:, m] = sol
-        yf = vec(img)
-        solf, *_ = np.linalg.lstsq(Bf, yf, rcond=None)
-        if unit and m == 0:
-            scale, scale_f = np.linalg.norm(Bc[:, 0]), np.linalg.norm(Bf[:, 0])
-        else:
-            scale = max(np.linalg.norm(y), 1e-300)
-            scale_f = max(np.linalg.norm(yf), 1e-300)
-        span_res = max(span_res, np.linalg.norm(Bc @ sol - y) / scale)
-        raw_span_res = max(raw_span_res,
-                           np.linalg.norm(Bf @ solf - yf) / scale_f)
-    return SpanRestriction(basis=basis, matrix=R, residual=float(span_res),
-                           raw_residual=float(raw_span_res), keep=keep,
+    Bc, Yf = Bf[clean], K.matrix @ Bf
+    R, span_res = _projection(Bc, Yf[clean], unit)
+    _, raw_span_res = _projection(Bf, Yf, unit)
+    return SpanRestriction(basis=basis, matrix=R, residual=span_res,
+                           raw_residual=raw_span_res, clean=clean,
                            clean_basis=Bc)
+
+
+def _projection(B: np.ndarray, Y: np.ndarray, unit: bool):
+    """Coordinates of the columns of Y in the basis B, and the worst column
+    residual relative to the column's norm, or for the identity column
+    (first when `unit`) relative to the identity's norm."""
+    sol = np.linalg.lstsq(B, Y, rcond=None)[0]
+    scale = np.maximum(np.linalg.norm(Y, axis=0), 1e-300)
+    if unit:
+        scale[0] = np.linalg.norm(B[:, 0])
+    return sol, float(np.max(np.linalg.norm(B @ sol - Y, axis=0) / scale))
 
 
 # --------------------------------------------------------------------------
@@ -430,13 +421,12 @@ def heat_comparison(lattice: LatticeConfig, *, beta: float = 1.0,
     # raw truncated-semigroup backreaction (full_dev), reported not asserted
     kappa0 = np.eye(N, dtype=complex)[0]
     f = span.basis[0] + span.basis[N]
+    sol = span.coefficients(semigroup_apply(K, f, t_grid))
     traj_dev = full_dev = 0.0
-    for t, ft in zip(t_grid, semigroup_apply(K, f, t_grid)):
+    for t, coef in zip(t_grid, (0.5 * (sol[:N] + sol[N:])).T):
         k_oracle = expm(-t * C * Lg) @ kappa0
         k_impl = expm(-t * R[:N, :N]) @ kappa0
         traj_dev = max(traj_dev, float(np.max(np.abs(k_impl - k_oracle))))
-        sol = span.coefficients(ft)
-        coef = 0.5 * (sol[:N] + sol[N:])
         full_dev = max(full_dev, float(np.max(np.abs(coef - k_oracle))))
 
     return HeatReport(span_residual=span.residual, restriction=R,

@@ -137,28 +137,17 @@ class KmsMetric:
     state: GibbsState
 
     def inner(self, f: LatticeOperator, g: LatticeOperator) -> complex:
-        fm, gm = f.matrix, g.matrix
-        if fm.shape != gm.shape or fm.shape[0] != self.state.dim:
+        if f.matrix.shape != g.matrix.shape or f.matrix.shape[0] != self.state.dim:
             raise ValueError("operator dimensions do not match the state")
-        if self.state.diagonal:
-            s = np.exp(0.5 * self.state.log_p)
-            # Tr(S f* S g) = sum_ij conj(f_ij) s_i s_j g_ij
-            w = fm.conj().multiply(gm).tocoo()
-            return complex(np.sum(w.data * s[w.row] * s[w.col]))
-        r = self.state.power(0.5)
-        return complex(np.trace(r @ fm.conj().T.toarray() @ r @ gm.toarray()))
+        return self.vec_inner(vec(f), vec(g))
 
     def norm(self, f) -> float:
         v = self.inner(f, f)
         return float(np.sqrt(max(v.real, 0.0)))
 
     def expectation(self, f: LatticeOperator) -> complex:
-        """omega(f) = Tr(rho f)."""
-        fm = f.matrix
-        if self.state.diagonal:
-            p = self.state.probabilities
-            return complex(np.sum(p * fm.diagonal()))
-        return complex(np.trace(self.state.power(1.0) @ fm.toarray()))
+        """omega(f) = Tr(rho f) = <1, f>."""
+        return self.vec_inner(np.eye(self.state.dim).reshape(-1), vec(f))
 
     def variance(self, f) -> float:
         """||f - omega(f)||^2 in this metric."""
@@ -189,8 +178,15 @@ class KmsMetric:
         X = np.moveaxis(x.reshape(D, D, -1, order="F"), 2, 0)
         return np.moveaxis(f @ X @ f, 0, 2).reshape(x.shape, order="F")
 
-    def vec_inner(self, x: np.ndarray, y: np.ndarray) -> complex:
-        return complex(np.vdot(self.half(x), self.half(y)))
+    def vec_inner(self, x: np.ndarray, y: np.ndarray) -> complex | np.ndarray:
+        """vec(f)^dag G vec(g) for one pair of vectorized operators, or the
+        array of these values over the columns of two (D^2, k) arrays."""
+        return (self.half(x).conj() * self.half(y)).sum(axis=0)
+
+
+def vec(op: LatticeOperator | sp.spmatrix) -> np.ndarray:
+    """Column-stacked vec(F)[i + D*j] = F[i, j]."""
+    return op.toarray().reshape(-1, order="F")
 
 
 def lp_norm(f: LatticeOperator, state: GibbsState, p: int, s: float) -> float:

@@ -7,12 +7,14 @@ from scipy.linalg import expm
 
 from fockdirichlet import (AdmissibleKernel, DerivationDirection, LatticeConfig,
                            LatticeOperator, ModelSpec, assemble_generator,
-                           build_model, graph_laplacian, heat_comparison,
+                           build_model, clean_projector, graph_laplacian,
+                           heat_comparison, identity_operator,
                            lieb_robinson_probe, polynomial_decay_probe,
-                           rayleigh_scaling, site_operator, spectral_gap)
+                           rayleigh_scaling, site_operator, spectral_gap, vec)
 from fockdirichlet.analysis import (DENSE_GAP_LIMIT, _charge, _sector_blocks,
-                                    direction_energies, sector_sizes,
-                                    symmetrized_generator)
+                                    direction_energies, ladder_span_restriction,
+                                    sector_sizes, symmetrized_generator)
+from fockdirichlet.dirichlet import CHECK_PAIRS, _verify_generator
 
 
 # --------------------------------------------------------------------------
@@ -418,3 +420,96 @@ def test_shift_invert_failure_is_a_linalg_error(kernel, monkeypatch, error):
     K = assemble_generator(built.directions, built.metric, kernel)
     with pytest.raises(np.linalg.LinAlgError, match="shift-invert"):
         spectral_gap(K, dense_limit=0)
+
+
+# --------------------------------------------------------------------------
+# stacked span restriction and symmetry check against per-column loops
+# --------------------------------------------------------------------------
+
+def _stacked_case(case, kernel):
+    """Unchecked generator on heat_ring4's lattice (diagonal state) or on two
+    mean_field sites at n_max 3 (non-diagonal, clean span residual 0.105)."""
+    if case == "heat_ring4":
+        spec = ModelSpec("z_power", LatticeConfig(1, 4, "cycle", 1.0, 2),
+                         params={"n": 1, "m": 1, "edges": "ordered"})
+    else:
+        spec = ModelSpec("mean_field", LatticeConfig(1, 2, "chain", 1.0, 3))
+    built = build_model(spec)
+    assert built.state.diagonal == (case == "heat_ring4")
+    return assemble_generator(built.directions, built.metric, kernel, check=False)
+
+
+def _span_restriction_reference(K, unit):
+    """The per-column loop: K applied to one basis operator at a time and
+    two least-squares solves per column."""
+    lattice = K.lattice
+    N = lattice.n_sites
+    basis = ([identity_operator(lattice)] if unit else []) + \
+        [site_operator(lattice, "a", j) for j in range(N)] + \
+        [site_operator(lattice, "adag", j) for j in range(N)]
+    keep = np.flatnonzero(clean_projector(lattice, 1).diagonal() > 0.5)
+
+    def clean_vec(op):
+        return op.matrix.toarray()[np.ix_(keep, keep)].reshape(-1)
+
+    Bc = np.stack([clean_vec(b) for b in basis], axis=1)
+    Bf = np.stack([vec(b) for b in basis], axis=1)
+    R = np.zeros((len(basis), len(basis)), complex)
+    span_res = raw_span_res = 0.0
+    for m, b in enumerate(basis):
+        img = K.apply(b)
+        y = clean_vec(img)
+        sol, *_ = np.linalg.lstsq(Bc, y, rcond=None)
+        R[:, m] = sol
+        yf = vec(img)
+        solf, *_ = np.linalg.lstsq(Bf, yf, rcond=None)
+        if unit and m == 0:
+            scale, scale_f = np.linalg.norm(Bc[:, 0]), np.linalg.norm(Bf[:, 0])
+        else:
+            scale = max(np.linalg.norm(y), 1e-300)
+            scale_f = max(np.linalg.norm(yf), 1e-300)
+        span_res = max(span_res, np.linalg.norm(Bc @ sol - y) / scale)
+        raw_span_res = max(raw_span_res, np.linalg.norm(Bf @ solf - yf) / scale_f)
+    return R, span_res, raw_span_res
+
+
+@pytest.mark.parametrize("unit", [False, True])
+@pytest.mark.parametrize("case", ["heat_ring4", "mean_field"])
+def test_span_restriction_matches_per_column_loop(kernel, case, unit):
+    K = _stacked_case(case, kernel)
+    span = ladder_span_restriction(K, unit=unit)
+    R, span_res, raw_span_res = _span_restriction_reference(K, unit)
+    assert np.max(np.abs(span.matrix - R)) <= 1e-12 * np.max(np.abs(R))
+    assert abs(span.residual - span_res) <= 1e-12
+    assert abs(span.raw_residual - raw_span_res) <= 1e-12
+    if case == "mean_field":
+        assert span.residual == pytest.approx(0.105, abs=5e-4)
+    # the clean coordinates of the basis operators are the unit vectors
+    coef = span.coefficients(span.basis)
+    assert np.max(np.abs(coef - np.eye(len(span.basis)))) < 1e-12
+
+
+def _sym_residual_reference(K, seed):
+    """The per-pair loop of the random-pair KMS-symmetry check."""
+    metric = K.metric
+    D = metric.state.dim
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(CHECK_PAIRS):
+        f = rng.standard_normal((D, D)) + 1j * rng.standard_normal((D, D))
+        g = rng.standard_normal((D, D)) + 1j * rng.standard_normal((D, D))
+        vf, vg = f.reshape(-1, order="F"), g.reshape(-1, order="F")
+        lhs = metric.vec_inner(vf, K.matrix @ vg)
+        rhs = metric.vec_inner(K.matrix @ vf, vg)
+        scale = np.sqrt(abs(metric.vec_inner(vf, vf)) * abs(metric.vec_inner(vg, vg)))
+        worst = max(worst, abs(lhs - rhs) / max(scale, 1e-300))
+    return float(worst)
+
+
+@pytest.mark.parametrize("case", ["heat_ring4", "mean_field"])
+def test_symmetry_check_matches_per_pair_loop(kernel, case):
+    K = _stacked_case(case, kernel)
+    for seed in (0, 1):
+        _verify_generator(K, seed)
+        assert abs(K.sym_residual - _sym_residual_reference(K, seed)) <= 1e-14
+        assert K.symmetric_in_metric

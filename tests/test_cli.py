@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import os
 import re
 import subprocess
 import sys
@@ -238,11 +239,16 @@ def test_manifest_jobs(tmp_path):
 
 
 def test_console_entry_point(tmp_path):
+    # the child process imports the package this test imported
+    import fockdirichlet
+    src = str(Path(fockdirichlet.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
     p = write_config(tmp_path)
     proc = subprocess.run(
         [sys.executable, "-m", "fockdirichlet.cli", "--config", str(p),
          "--out", str(tmp_path / "cli_out")],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
 
 

@@ -12,7 +12,8 @@ from fockdirichlet import (AdmissibleKernel, DerivationDirection, KmsMetric,
                            semigroup_apply, site_operator, spectral_gap, vec,
                            unvec)
 from fockdirichlet.models import ModelSpec, build_model
-from fockdirichlet.dirichlet import left_mult, right_mult
+from fockdirichlet.dirichlet import (Superoperator, _verify_generator, left_mult,
+                                     right_mult)
 
 from conftest import random_op
 
@@ -149,6 +150,32 @@ def test_generator_annihilates_identity(two_site, kernel):
         K = assemble_generator([d], metric, kernel)
         res = np.linalg.norm(K.matrix @ vec(identity_operator(lat)))
         assert res < 1e-12
+
+
+def test_identity_check_is_relative_to_largest_entry(kernel):
+    # entries of K reach 1.9e6 here, so K vec(I) = 6e-10 is roundoff
+    lat = LatticeConfig(1, 2, "chain", 1.0, 6)
+    built = build_model(ModelSpec("zjk_quadratic", lat))
+    K = assemble_generator(built.directions, built.metric, kernel)
+    scale = np.max(np.abs(K.matrix.data))
+    assert scale > 1e6
+    assert np.linalg.norm(K.matrix @ vec(identity_operator(lat))) > 1e-10
+    assert K.sym_residual < 1e-10
+    assert K.symmetric_in_metric
+
+
+def test_identity_defect_clears_symmetry_flag(two_site, kernel):
+    # c times the identity superoperator keeps K KMS-symmetric but moves
+    # vec(I), here by 1e-6 relative to the largest entry of K
+    lat, state, metric = two_site
+    K = assemble_generator([DerivationDirection(site_operator(lat, "a", 0))],
+                           metric, kernel)
+    idv = vec(identity_operator(lat))
+    c = 1e-6 * max(1.0, np.max(np.abs(K.matrix.data))) / np.linalg.norm(idv)
+    bad = Superoperator(K.matrix + c * sp.identity(K.dim, format="csr"), lat, metric)
+    _verify_generator(bad, 0)
+    assert bad.sym_residual < 1e-12
+    assert not bad.symmetric_in_metric
 
 
 def test_kms_symmetry_random_pairs(single_mode, kernel, rng):

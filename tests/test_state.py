@@ -257,3 +257,67 @@ def test_gibbs_extreme_beta_log_domain():
     p = st.probabilities
     assert p[0] == pytest.approx(1.0, abs=1e-12)
     assert np.all(np.isfinite(p))
+
+
+def _two_site_metric(kind):
+    """KMS metric of a two-site model at n_max 3: z_power has a diagonal
+    state, mean_field a non-diagonal one."""
+    built = build_model(ModelSpec(kind, LatticeConfig(1, 2, "chain", 1.0, 3)))
+    assert built.state.diagonal == (kind == "z_power")
+    return built.metric
+
+
+@pytest.mark.parametrize("kind", ["z_power", "mean_field"])
+def test_vec_inner_on_columns_equals_single_calls(kind, rng):
+    metric = _two_site_metric(kind)
+    shape = (metric.state.dim ** 2, 5)
+    X, Y = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            for _ in range(2))
+    got = metric.vec_inner(X, Y)
+    assert got.shape == (5,)
+    want = np.array([metric.vec_inner(x, y) for x, y in zip(X.T, Y.T)])
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def _fork_inner(state, f, g) -> complex:
+    """<f, g> by the diagonal-state and dense-state formulas that the metric
+    carried before it went through `KmsMetric.half`."""
+    fm, gm = f.matrix, g.matrix
+    if state.diagonal:
+        s = np.exp(0.5 * state.log_p)
+        w = fm.conj().multiply(gm).tocoo()
+        return complex(np.sum(w.data * s[w.row] * s[w.col]))
+    r = state.power(0.5)
+    return complex(np.trace(r @ fm.conj().T.toarray() @ r @ gm.toarray()))
+
+
+def _fork_expectation(state, f) -> complex:
+    if state.diagonal:
+        return complex(np.sum(state.probabilities * f.matrix.diagonal()))
+    return complex(np.trace(state.power(1.0) @ f.toarray()))
+
+
+@pytest.mark.parametrize("kind", ["z_power", "mean_field"])
+def test_inner_and_expectation_match_dense_traces(kind, rng):
+    # relative to the Frobenius norms, which bound both forms (||rho|| <= 1);
+    # some of these values vanish exactly
+    metric = _two_site_metric(kind)
+    st = metric.state
+    lat = st.lattice
+    dense = {z: st.power(z).toarray() if st.diagonal else st.power(z)
+             for z in (0.5, 1.0)}
+    ops = [random_op(rng, lat), random_op(rng, lat), site_operator(lat, "a", 1),
+           site_operator(lat, "adag", 0) @ site_operator(lat, "a", 1)]
+    for f in ops:
+        expect = np.trace(dense[1.0] @ f.toarray())
+        for want in (expect, _fork_expectation(st, f)):
+            assert abs(metric.expectation(f) - want) <= 1e-13 * f.fro_norm()
+        for g in ops:
+            r = dense[0.5]
+            expect = np.trace(r @ f.toarray().conj().T @ r @ g.toarray())
+            for want in (expect, _fork_inner(st, f, g)):
+                assert (abs(metric.inner(f, g) - want)
+                        <= 1e-13 * f.fro_norm() * g.fro_norm())
+    other = site_operator(LatticeConfig(1, 1, "chain", 1.0, 3), "a", 0)
+    with pytest.raises(ValueError, match="dimensions"):
+        metric.inner(other, other)
