@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import expm
 
 from .dirichlet import (Superoperator, _eigen_blocks, assemble_generator,
                         semigroup_apply, vec)
@@ -130,7 +129,8 @@ def spectral_gap(L: Superoperator, k: int = 8, *,
     Dense eigh up to superoperator dimension `dense_limit`, shift-inverted
     Lanczos beyond; shift-invert doubles its count of lowest eigenvalues
     until one lies above ZERO_TOL, so a kernel of k or more dimensions is not
-    read as a zero gap.  Requires the generator's KMS-symmetry flag.
+    read as a zero gap.  Requires the generator's KMS-symmetry flag and
+    raises numpy.linalg.LinAlgError without it.
 
     `gap` is the raw gap of the hard-cutoff generator, which carries the
     top-level defect [A, A*] - 1 = -(n_max + 1) P_top.  `clean_eigenvalues`
@@ -149,8 +149,8 @@ def spectral_gap(L: Superoperator, k: int = 8, *,
     monotonically in n_max onto C/2.
     """
     if not L.symmetric_in_metric:
-        raise ValueError("generator is not flagged KMS-symmetric "
-                         f"(residual {L.sym_residual})")
+        raise np.linalg.LinAlgError("generator is not flagged KMS-symmetric "
+                                    f"(residual {L.sym_residual})")
     S = symmetrized_generator(L)
     n = S.shape[0]
     idv = vec(identity_operator(L.lattice))
@@ -394,6 +394,7 @@ def heat_comparison(lattice: LatticeConfig, *, beta: float = 1.0,
     from the unit coefficient vector at site 0.  The raw semigroup is run on
     f = A_0 + A_0*.  `seed` draws the generator's random symmetry-test pairs.
     """
+    from scipy.linalg import expm
     kernel = kernel or AdmissibleKernel()
     if lattice.n_max < 2:
         raise ValueError("heat comparison needs n_max >= 2: the margin-1 "
@@ -470,6 +471,7 @@ def polynomial_decay_probe(lengths=(16,), *, beta: float = 1.0,
     full-Fock cross-check validates the coefficient computation on a small
     ring; `seed` is passed on to it.
     """
+    from scipy.linalg import expm
     kernel = kernel or AdmissibleKernel()
     C = float(4.0 * kernel.fourier(0.0).real * np.sinh(beta / 2.0))
     slopes, windows, trajs = [], [], {}

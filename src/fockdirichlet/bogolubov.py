@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh
 
 from .fock import LatticeConfig, LatticeOperator, build_mode_ops, clean_projector, \
     compressed, embed, identity_operator
@@ -148,6 +147,7 @@ def quasi_invariance_rep(U: LadderPolynomial, path, f: LadderPolynomial,
 
     path(0) must be the identity transform.
     """
+    from scipy.linalg import eigh
     p0 = path(0.0)
     if abs(p0.tau - 1.0) > 1e-12 or abs(p0.theta) > 1e-12:
         raise ValueError("path(0) must be the identity transform")

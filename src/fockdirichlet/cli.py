@@ -29,7 +29,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -494,6 +493,7 @@ def main(argv=None) -> int:
              args.out, args.seed, args.nmax_override, args.budget_mb)
             for p in manifest]
     if args.jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             statuses = list(pool.map(_run_one, jobs))
     else:

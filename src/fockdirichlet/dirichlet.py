@@ -83,9 +83,6 @@ class Superoperator:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    def apply(self, f) -> LatticeOperator:
-        return unvec(self.matrix @ vec(f), self.lattice)
-
 
 def derivation_super(X: LatticeOperator) -> Superoperator:
     """delta_X(f) = i[X, f] as a superoperator: i (L_X - R_X)."""
@@ -401,7 +398,8 @@ def semigroup_apply(L: Superoperator, f, t, *, max_krylov: int = 220):
         ys[run] = half(_lanczos_expm(lambda x: half(K @ half(x, -1)), half(v),
                                      times[run], max_krylov).T, -1).T
     elif run.any():
-        ys[run] = [sp.linalg.expm_multiply(-s * L.matrix.tocsc(), v)
+        from scipy.sparse.linalg import expm_multiply
+        ys[run] = [expm_multiply(-s * L.matrix.tocsc(), v)
                    for s in times[run]]
     out = [unvec(y, L.lattice) for y in ys]
     return out if np.ndim(t) else out[0]

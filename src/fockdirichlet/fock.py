@@ -120,6 +120,13 @@ def _prune(m: sp.spmatrix) -> sp.csr_matrix:
     return m
 
 
+def _fro(m: sp.csr_matrix) -> float:
+    """Frobenius norm of a CSR or CSC matrix, as scipy.sparse.linalg.norm
+    computes it (duplicates summed in place, then the norm of `data`)."""
+    m.sum_duplicates()
+    return float(np.linalg.norm(m.data))
+
+
 @dataclass
 class LatticeOperator:
     """Sparse operator on the lattice Fock space with site-support tracking.
@@ -152,12 +159,11 @@ class LatticeOperator:
         return float(np.linalg.norm(self.toarray(), 2))
 
     def fro_norm(self) -> float:
-        return float(sp.linalg.norm(self.matrix))
+        return _fro(self.matrix)
 
     def is_hermitian(self, tol: float = 1e-12) -> bool:
         d = self.matrix - self.matrix.conj().T
-        scale = max(sp.linalg.norm(self.matrix), 1.0)
-        return sp.linalg.norm(d) <= tol * scale
+        return _fro(d) <= tol * max(_fro(self.matrix), 1.0)
 
     def _wrap(self, m, support, label):
         return LatticeOperator(_prune(m), support, self.lattice, label)

@@ -20,7 +20,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 # half-width of the time integration window; the raw kernel tail at T=8 is
 # below exp(-16 pi) ~ 1e-22 for n = 1 (and smaller for larger n)
@@ -105,6 +104,7 @@ class AdmissibleKernel:
         The Gaussian factor of the smoothed transform is exact (the
         convolution theorem), so only the sech integral is quadratured.
         """
+        from scipy.integrate import quad
         T = self.time_window()
         re, re_err = quad(lambda t: (self.eta_raw(t) * np.exp(1j * s * t)).real,
                           -T, T, epsabs=tol, epsrel=tol, limit=200)

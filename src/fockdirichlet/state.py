@@ -24,9 +24,8 @@ from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.special import logsumexp
 
-from .fock import PRUNE_TOL, LatticeConfig, LatticeOperator, _prune
+from .fock import PRUNE_TOL, LatticeConfig, LatticeOperator, _fro, _prune
 
 # |Im z| guard for modular flow
 DEFAULT_GUARD = 1.0
@@ -105,6 +104,18 @@ class GibbsState:
         return V @ m @ V.conj().T
 
 
+def _logsumexp(a: np.ndarray) -> float:
+    """log sum exp(a) with the arithmetic of scipy.special.logsumexp: the m
+    maximal terms are set aside (zeroed in place, so the summation order is
+    scipy's) and the rest summed relative to them."""
+    a_max = a.max()
+    mask = a == a_max
+    m = mask.sum()
+    e = np.exp(a - a_max)
+    e[mask] = 0.0
+    return float(np.log1p(e.sum() / m) + np.log(m) + a_max)
+
+
 def gibbs_state(H: LatticeOperator, beta: float) -> GibbsState:
     """Build the Gibbs state of a Hermitian lattice Hamiltonian.
 
@@ -114,17 +125,17 @@ def gibbs_state(H: LatticeOperator, beta: float) -> GibbsState:
     if beta <= 0:
         raise ValueError(f"beta must be positive, got {beta}")
     m = H.matrix
-    scale = max(sp.linalg.norm(m), 1.0)
-    if sp.linalg.norm(m - m.conj().T) > HERM_TOL * scale:
+    scale = max(_fro(m), 1.0)
+    if _fro(m - m.conj().T) > HERM_TOL * scale:
         raise ValueError("Hamiltonian is not Hermitian within tolerance")
 
     off = m - sp.diags(m.diagonal())
-    if off.nnz == 0 or sp.linalg.norm(off) <= 1e-14 * scale:
+    if off.nnz == 0 or _fro(off) <= 1e-14 * scale:
         energies = np.real(m.diagonal().copy())
         eigvecs = None
     else:
         energies, eigvecs = np.linalg.eigh(m.toarray())
-    log_Z = float(logsumexp(-beta * energies))
+    log_Z = _logsumexp(-beta * energies)
     return GibbsState(lattice=H.lattice, beta=beta,
                       energies=np.asarray(energies, float), eigvecs=eigvecs,
                       log_Z=log_Z)
@@ -265,12 +276,12 @@ def eigen_detect(X: LatticeOperator, state: GibbsState) -> float | None:
     EIGEN_TOL * ||X||_F.
     """
     Xm = X.matrix
-    nrm = sp.linalg.norm(Xm)
+    nrm = _fro(Xm)
     if nrm == 0:
         raise ValueError("eigen_detect requires a nonzero operator")
     Y = modular_flow(X, state, 0.5j).matrix
     c = complex((Xm.conj().multiply(Y)).sum() / nrm ** 2)
-    if sp.linalg.norm(Y - c * Xm) > EIGEN_TOL * nrm:
+    if _fro(Y - c * Xm) > EIGEN_TOL * nrm:
         return None
     if c.real <= 0 or abs(c.imag) > EIGEN_TOL * abs(c):
         return None

@@ -10,7 +10,8 @@ from fockdirichlet import (AdmissibleKernel, DerivationDirection, LatticeConfig,
                            build_model, clean_projector, graph_laplacian,
                            heat_comparison, identity_operator,
                            lieb_robinson_probe, polynomial_decay_probe,
-                           rayleigh_scaling, site_operator, spectral_gap, vec)
+                           rayleigh_scaling, site_operator, spectral_gap, unvec,
+                           vec)
 from fockdirichlet.analysis import (DENSE_GAP_LIMIT, _charge, _sector_blocks,
                                     direction_energies, ladder_span_restriction,
                                     sector_sizes, symmetrized_generator)
@@ -457,7 +458,7 @@ def _span_restriction_reference(K, unit):
     R = np.zeros((len(basis), len(basis)), complex)
     span_res = raw_span_res = 0.0
     for m, b in enumerate(basis):
-        img = K.apply(b)
+        img = unvec(K.matrix @ vec(b), lattice)
         y = clean_vec(img)
         sol, *_ = np.linalg.lstsq(Bc, y, rcond=None)
         R[:, m] = sol

@@ -238,18 +238,55 @@ def test_manifest_jobs(tmp_path):
     assert (tmp_path / "m" / "r2.json").exists()
 
 
-def test_console_entry_point(tmp_path):
-    # the child process imports the package this test imported
+def _child_env():
+    """Environment for a child interpreter that imports the package this
+    test imported."""
     import fockdirichlet
     src = str(Path(fockdirichlet.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
+def test_console_entry_point(tmp_path):
     p = write_config(tmp_path)
     proc = subprocess.run(
         [sys.executable, "-m", "fockdirichlet.cli", "--config", str(p),
          "--out", str(tmp_path / "cli_out")],
-        capture_output=True, text=True, env=env)
+        capture_output=True, text=True, env=_child_env())
     assert proc.returncode == 0, proc.stderr
+
+
+HEAVY_MODULES = ("scipy.integrate", "scipy.optimize", "scipy.special",
+                 "scipy.linalg", "scipy.sparse.linalg",
+                 "concurrent.futures.process")
+
+IMPORT_PROBE = """\
+import json, sys
+from fockdirichlet import cli
+heavy = sys.argv[1].split(",")
+after_import = [m for m in heavy if m in sys.modules]
+scaling = cli.load_config(sys.argv[2])
+scaling["params"]["sizes"] = [3, 4]
+for cfg in (scaling, cli.load_config(sys.argv[3])):
+    assert cli.run_scenario(cfg, out_dir=sys.argv[4])[0] == 0
+print(json.dumps([after_import, [m for m in heavy if m in sys.modules]]))
+"""
+
+
+def test_import_loads_only_what_every_run_calls(tmp_path):
+    # module level holds numpy, scipy.sparse and jsonschema; the heavier
+    # scipy modules and the process pool load at their call sites, which
+    # a scaling or lieb-robinson run never reaches (test_manifest_jobs
+    # covers the pool)
+    proc = subprocess.run(
+        [sys.executable, "-c", IMPORT_PROBE, ",".join(HEAVY_MODULES),
+         str(SCENARIOS / "scaling_aij.json"),
+         str(SCENARIOS / "lieb_robinson_chain5.json"), str(tmp_path)],
+        capture_output=True, text=True, env=_child_env())
+    assert proc.returncode == 0, proc.stderr
+    after_import, after_runs = json.loads(proc.stdout.splitlines()[-1])
+    assert after_import == []
+    assert after_runs == []
 
 
 def test_assertion_failure_exit_code(tmp_path):
@@ -428,22 +465,34 @@ def test_component_limit_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("experiment, function, error", [
-    ("heat", "heat_comparison", KrylovError),
-    ("gap", "spectral_gap", np.linalg.LinAlgError)])
+@pytest.mark.parametrize("experiment, model, stand_in, message", [
+    ("heat", _model(), ("heat_comparison", KrylovError),
+     "KrylovError: did not converge"),
+    ("gap", _model(), ("spectral_gap", np.linalg.LinAlgError),
+     "LinAlgError: did not converge"),
+    # no stand-in: the n_max + 1 rerun's generator (max|K| 3e10) misses
+    # SYMMETRY_TOL, so spectral_gap refuses it
+    ("gap", {**_model("zjk_quadratic", n_max=4), "beta": 2.0}, None,
+     "LinAlgError: generator is not flagged KMS-symmetric (residual ")],
+    ids=["heat-heat_comparison-KrylovError", "gap-spectral_gap-LinAlgError",
+         "gap-zjk_quadratic-unflagged_rerun"])
 def test_numerical_failure_exits_4(tmp_path, capsys, monkeypatch, experiment,
-                                   function, error):
+                                   model, stand_in, message):
     from fockdirichlet import analysis
 
-    def failing(*args, **kwargs):
-        raise error("did not converge")
+    if stand_in:
+        function, error = stand_in
 
-    monkeypatch.setattr(analysis, function, failing)
-    p = write_config(tmp_path, experiment=experiment, model=_model())
+        def failing(*args, **kwargs):
+            raise error("did not converge")
+
+        monkeypatch.setattr(analysis, function, failing)
+    p = write_config(tmp_path, experiment=experiment, model=model)
     out = tmp_path / "out"
     assert main(["--config", str(p), "--out", str(out)]) == 4
     err = capsys.readouterr().err
-    assert err == f"numerical failure: {error.__name__}: did not converge\n"
+    assert err.startswith(f"numerical failure: {message}")
+    assert err.count("\n") == 1 and err.endswith("\n")
     assert not out.exists()
 
 

@@ -5,7 +5,7 @@ import scipy.sparse as sp
 from fockdirichlet import (LatticeConfig, TruncationReport, build_mode_ops,
                            clean_projector, commutator, embed,
                            identity_operator, mollify, site_operator)
-from fockdirichlet.fock import compressed
+from fockdirichlet.fock import _fro, compressed
 
 
 def test_mode_ops_entries():
@@ -143,3 +143,23 @@ def test_clean_projector_and_identity_action_outside_support(rng):
     lhs = a0 @ np.kron(v, w)
     rhs = np.kron(A.toarray() @ v, w)
     assert np.allclose(lhs, rhs)
+
+
+def _csr_with_duplicates():
+    # row 0 stores column 2 twice and its columns out of order
+    data = np.array([1.5 - 2j, 0.25j, -3.0, 1e-3, 2.0 + 1j])
+    indices = np.array([2, 0, 2, 1, 1])
+    indptr = np.array([0, 3, 4, 5])
+    return sp.csr_matrix((data, indices, indptr), shape=(3, 3))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: sp.random(40, 40, density=0.2, random_state=5, format="csr")
+    + 1j * sp.random(40, 40, density=0.2, random_state=6, format="csr"),
+    _csr_with_duplicates,
+    lambda: sp.csr_matrix((7, 7))], ids=["canonical", "duplicates", "zero"])
+def test_fro_is_scipy_sparse_norm_bit_for_bit(make):
+    from scipy.sparse.linalg import norm
+    m = make()
+    assert _fro(m) == float(norm(make()))
+    assert _fro(m) == float(norm(m))

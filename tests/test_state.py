@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
-from fockdirichlet import (KmsMetric, LatticeConfig, ModelSpec, build_model,
-                           commutator, eigen_detect, gibbs_state, lp_norm,
-                           modular_flow, modular_flows, site_operator)
-from fockdirichlet.state import ConditionWarning, decompose_modular
+from fockdirichlet import (KmsMetric, LatticeConfig, LatticeOperator,
+                           ModelSpec, build_model, commutator, eigen_detect,
+                           gibbs_state, lp_norm, modular_flow, modular_flows,
+                           site_operator)
+from fockdirichlet.state import ConditionWarning, _logsumexp, decompose_modular
 
 from conftest import random_op
 
@@ -15,6 +17,35 @@ def test_partition_constant_single_mode(single_mode):
     lat2 = LatticeConfig(1, 1, "chain", 1.0, 2)
     st2 = gibbs_state(site_operator(lat2, "n", 0), 1.0)
     assert np.exp(st2.log_Z) == pytest.approx(1 + np.exp(-1) + np.exp(-2), abs=1e-12)
+
+
+_SPECTRA = {
+    "random": np.random.default_rng(3).standard_normal(50),
+    "spread_1e3": np.random.default_rng(4).uniform(0.0, 1e3, 200),
+    "degenerate_ground": np.array([-1.5, 0.2, -1.5, 3.0, -1.5, 0.7]),
+    "one_level_degenerate": np.full(5, 0.4),
+    "single_level": np.array([2.5])}
+
+
+@pytest.mark.parametrize("beta", [0.3, 1.0])
+@pytest.mark.parametrize("name", list(_SPECTRA))
+def test_log_partition_is_scipy_logsumexp_bit_for_bit(name, beta):
+    from scipy.special import logsumexp
+    E = _SPECTRA[name]
+    assert _logsumexp(-beta * E) == float(logsumexp(-beta * E))
+    if E.size > 1:  # a lattice has at least two levels per mode
+        lat = LatticeConfig(1, 1, "chain", 1.0, E.size - 1)
+        H = LatticeOperator(sp.diags(E).tocsr(), frozenset({0}), lat)
+        assert gibbs_state(H, beta).log_Z == float(logsumexp(-beta * E))
+
+
+def test_log_partition_of_a_dense_hamiltonian_is_scipy_logsumexp(rng):
+    from scipy.special import logsumexp
+    lat = LatticeConfig(1, 2, "chain", 1.0, 3)
+    R = random_op(rng, lat)
+    st = gibbs_state(R + R.dag(), 1.3)
+    assert st.eigvecs is not None
+    assert st.log_Z == float(logsumexp(-1.3 * st.energies))
 
 
 def test_infinite_temperature_limit():
