@@ -471,7 +471,10 @@ def test_component_limit_exits_2(tmp_path, capsys):
     ("gap", _model(), ("spectral_gap", np.linalg.LinAlgError),
      "LinAlgError: did not converge"),
     # no stand-in: the n_max + 1 rerun's generator (max|K| 3e10) misses
-    # SYMMETRY_TOL, so spectral_gap refuses it
+    # SYMMETRY_TOL, so spectral_gap refuses it. The case relies on that
+    # fixed bound (an open defect: it does not grow with the generator's
+    # conditioning) and must be rewritten with another unflagged generator
+    # once the bound does.
     ("gap", {**_model("zjk_quadratic", n_max=4), "beta": 2.0}, None,
      "LinAlgError: generator is not flagged KMS-symmetric (residual ")],
     ids=["heat-heat_comparison-KrylovError", "gap-spectral_gap-LinAlgError",
@@ -491,8 +494,12 @@ def test_numerical_failure_exits_4(tmp_path, capsys, monkeypatch, experiment,
     out = tmp_path / "out"
     assert main(["--config", str(p), "--out", str(out)]) == 4
     err = capsys.readouterr().err
-    assert err.startswith(f"numerical failure: {message}")
-    assert err.count("\n") == 1 and err.endswith("\n")
+    if stand_in:
+        assert err == f"numerical failure: {message}\n"
+    else:
+        # the residual in the message differs from run to run
+        assert err.startswith(f"numerical failure: {message}")
+        assert err.count("\n") == 1 and err.endswith("\n")
     assert not out.exists()
 
 
