@@ -22,7 +22,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .dirichlet import (Superoperator, _eigen_blocks, assemble_generator,
-                        semigroup_apply, vec)
+                        require_symmetric, semigroup_apply, vec)
 from .fock import (LatticeConfig, LatticeOperator, clean_projector, commutator,
                    identity_operator, mollify, site_operator)
 from .kernels import AdmissibleKernel
@@ -36,6 +36,7 @@ DENSE_GAP_LIMIT = 1024
 CLEAN_SPAN_TOL = 1e-9    # span residual above which the span is not invariant
 ZERO_TOL = 1e-10         # eigenvalues of -L below this count as its kernel
 DECAY_TIMES = 12         # log-spaced times of each ring's decay fit
+SCALING_MARGIN = 1       # cutoff headroom levels of the scaling derivations
 
 
 # --------------------------------------------------------------------------
@@ -122,11 +123,10 @@ def symmetrized_generator(L: Superoperator):
     return metric.half(metric.half(L.matrix.toarray()).conj().T, -1).conj().T
 
 
-def spectral_gap(L: Superoperator, k: int = 8, *,
-                 dense_limit: int = DENSE_GAP_LIMIT) -> GapReport:
+def spectral_gap(L: Superoperator, k: int = 8) -> GapReport:
     """Low spectrum of -L, symmetrized in the generator's KMS metric.
 
-    Dense eigh up to superoperator dimension `dense_limit`, shift-inverted
+    Dense eigh up to superoperator dimension DENSE_GAP_LIMIT, shift-inverted
     Lanczos beyond; shift-invert doubles its count of lowest eigenvalues
     until one lies above ZERO_TOL, so a kernel of k or more dimensions is not
     read as a zero gap.  Requires the generator's KMS-symmetry flag and
@@ -148,14 +148,12 @@ def spectral_gap(L: Superoperator, k: int = 8, *,
     sinh(beta/2), and `clean_gap` is the gap itself: the raw gap decreases
     monotonically in n_max onto C/2.
     """
-    if not L.symmetric_in_metric:
-        raise np.linalg.LinAlgError("generator is not flagged KMS-symmetric "
-                                    f"(residual {L.sym_residual})")
+    require_symmetric(L)
     S = symmetrized_generator(L)
     n = S.shape[0]
     idv = vec(identity_operator(L.lattice))
     unit_res = float(np.linalg.norm(L.matrix @ idv) / max(np.linalg.norm(idv), 1.0))
-    if n <= dense_limit:
+    if n <= DENSE_GAP_LIMIT:
         Sd = S.toarray() if sp.issparse(S) else S
         Sd = 0.5 * (Sd + Sd.conj().T)
         ev = np.linalg.eigvalsh(Sd)
@@ -188,8 +186,8 @@ def spectral_gap(L: Superoperator, k: int = 8, *,
     return GapReport(eigenvalues=np.sort(ev)[:k], gap=gap, kernel_dim=kernel_dim,
                      unit_kernel_residual=unit_res, clean_gap=clean_gap,
                      clean_eigenvalues=clean_ev, clean_span_residual=clean_res,
-                     metadata={"dim": n, "solver": "dense" if n <= dense_limit
-                               else "shift-invert"})
+                     metadata={"dim": n, "solver": "dense"
+                               if n <= DENSE_GAP_LIMIT else "shift-invert"})
 
 
 # --------------------------------------------------------------------------
@@ -248,7 +246,7 @@ def _site_sum(lattice: LatticeConfig, kind: str, sites) -> LatticeOperator | Non
 class _ChainForms:
     """Window-sum energy terms on one open chain of `n_sites`.
 
-    The directions are built with `margin` levels of cutoff headroom and
+    The directions are built with SCALING_MARGIN levels of cutoff headroom and
     carry their modular components (analytic where the model gives them,
     else decomposed under the headroom state); the state is built at n_max.
     Each derivation i [X, F] is evaluated with the headroom and compressed
@@ -256,11 +254,10 @@ class _ChainForms:
     commutator.
     """
 
-    def __init__(self, kind, n_sites, *, n_max, margin, kernel, test_op,
-                 **model):
+    def __init__(self, kind, n_sites, *, n_max, kernel, test_op, **model):
         self.n_sites, self.kernel, self.test_op = n_sites, kernel, test_op
         self.eval, work = (LatticeConfig(1, n_sites, "chain", 1.0, levels)
-                           for levels in (n_max + margin, n_max))
+                           for levels in (n_max + SCALING_MARGIN, n_max))
         built = build_model(ModelSpec(kind, self.eval, **model))
         for d, orbit in zip(built.directions, built.orbits):
             if d.components is None:
@@ -292,7 +289,7 @@ class _ChainForms:
 
 def rayleigh_scaling(kind: str, test: str, sizes, *, n_max: int = 1,
                      beta: float = 1.0, kernel: AdmissibleKernel | None = None,
-                     params: dict | None = None, pad: int = 1, margin: int = 1,
+                     params: dict | None = None, pad: int = 1,
                      nu: float = 1.0, mu: float = 1.0) -> ScalingReport:
     """Energies E(F_n) and variances for window observables F_n on padded
     open chains, evaluated by direct quadratic forms (no superoperator).
@@ -302,12 +299,11 @@ def rayleigh_scaling(kind: str, test: str, sizes, *, n_max: int = 1,
 
     The hard cutoff breaks [A, A*] = 1 on the top level, which would feed
     every interior bond a spurious surface term; the derivations are
-    therefore evaluated with `margin` extra levels of headroom and then
-    compressed to the n_max levels, where they equal the untruncated
-    commutators.  The state truncation enters only through its moments.
-    `margin` must cover the creation degree of the direction operators
-    (1 for the nearest-neighbour difference fields; len(J) for shifted
-    monomial directions).
+    therefore evaluated with SCALING_MARGIN = 1 extra level of headroom and
+    then compressed to the n_max levels, where they equal the untruncated
+    commutators.  One level is used for every kind: it covers the one
+    creator of the test observables A_j*.  The state truncation enters only
+    through its moments.
 
     For the product-state kinds (models.PRODUCT_KINDS) the directions of the
     padded chain are translates of those on the shortest chain that carries
@@ -323,7 +319,7 @@ def rayleigh_scaling(kind: str, test: str, sizes, *, n_max: int = 1,
     offset = 0 if kind == "mean_field" else pad
 
     def chain(n_sites):
-        return _ChainForms(kind, n_sites, n_max=n_max, margin=margin,
+        return _ChainForms(kind, n_sites, n_max=n_max,
                            kernel=kernel, beta=beta, nu=nu, mu=mu,
                            test_op="adag" if test == "sum_adag" else "n",
                            params=dict(params or {}))
@@ -356,7 +352,8 @@ def rayleigh_scaling(kind: str, test: str, sizes, *, n_max: int = 1,
                          ratios=ratios, exponent=exponent,
                          boundary_counts=bcounts, e_over_boundary_spread=spread,
                          metadata={"kind": kind, "test": test, "n_max": n_max,
-                                   "beta": beta, "pad": pad, "margin": margin})
+                                   "beta": beta, "pad": pad,
+                                   "margin": SCALING_MARGIN})
 
 
 # --------------------------------------------------------------------------

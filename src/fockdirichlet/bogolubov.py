@@ -25,6 +25,7 @@ from .fock import LatticeConfig, LatticeOperator, build_mode_ops, clean_projecto
     compressed, embed, identity_operator
 
 QI_PAIRS = 12       # random polynomial pairs of the quasi-invariance check
+POLY_MAX_LEN = 2    # longest ladder word of `random_polynomial`
 HERM_TOL = 1e-10    # relative anti-Hermitian part U(A, A*) may carry
 
 
@@ -116,9 +117,9 @@ def number_polynomial() -> LadderPolynomial:
     return LadderPolynomial(terms=((1.0, ("c", "a")),))
 
 
-def random_polynomial(rng, max_len: int = 2) -> LadderPolynomial:
+def random_polynomial(rng) -> LadderPolynomial:
     words = [()]
-    for length in range(1, max_len + 1):
+    for length in range(1, POLY_MAX_LEN + 1):
         words += [w for w in _all_words(length)]
     coeffs = rng.standard_normal(len(words)) + 1j * rng.standard_normal(len(words))
     return LadderPolynomial(terms=tuple((complex(c), w) for c, w in zip(coeffs, words)))

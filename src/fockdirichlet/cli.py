@@ -11,9 +11,10 @@ Exit codes: 0 success, 1 experiment assertion failed, 2 config violation
 experiment cannot use: one with no direction on its lattice, or one whose
 directions split into more modular components than the eigen path takes;
 an --nmax-override on an experiment that reads no `model` block, which has
-no lattice to override), 3 memory-budget refusal,
-4 numerical failure (Krylov non-convergence or a failed linear-algebra
-routine).  Exits 2, 3 and 4 write no report.
+no lattice to override; a memory budget that is not a positive integer),
+3 memory-budget refusal, 4 numerical failure (Krylov non-convergence, a
+failed linear-algebra routine, or a generator that fails its KMS-symmetry
+check).  Exits 2, 3 and 4 write no report.
 
 Reports are deterministic for a fixed config and seed; the run timestamp is
 isolated in a sidecar `<report>.meta.json` so the report files themselves
@@ -386,7 +387,7 @@ def run_scenario(cfg: dict, out_dir: str = ".", seed: int | None = None,
                  nmax_override: int | None = None,
                  budget_mb: int | None = None) -> tuple[int, dict]:
     """Run one scenario; returns (exit_status, report)."""
-    budget_mb = budget_mb or int(os.environ.get(BUDGET_ENV, DEFAULT_BUDGET_MB))
+    budget_mb = _budget_mb(budget_mb)
     seed = cfg.get("seed", 0) if seed is None else seed
     kernel = kernels.AdmissibleKernel(**cfg.get("kernel", {}))
     exp = EXPERIMENTS[cfg["experiment"]]
@@ -420,6 +421,19 @@ def run_scenario(cfg: dict, out_dir: str = ".", seed: int | None = None,
     meta = {k: [r.meta[k] for r in runs] for k in runs[0].meta or {}}
     _write_outputs(cfg, report, runs[0].csv_rows, out_dir, meta)
     return (0 if report["passed"] else 1), report
+
+
+def _budget_mb(budget_mb) -> int:
+    """The memory budget in MiB: `budget_mb` (--budget-mb), else BUDGET_ENV,
+    else DEFAULT_BUDGET_MB; anything but a positive integer is a ConfigError."""
+    source = "--budget-mb"
+    if budget_mb is None:
+        source, budget_mb = BUDGET_ENV, os.environ.get(BUDGET_ENV,
+                                                       str(DEFAULT_BUDGET_MB))
+    if not str(budget_mb).isdecimal() or int(budget_mb) < 1:
+        raise ConfigError(f"{source} must be a positive integer (MiB), "
+                          f"got {budget_mb!r}")
+    return int(budget_mb)
 
 
 def _write_outputs(cfg: dict, report: dict, csv_rows, out_dir: str,

@@ -45,6 +45,7 @@ from .state import (GibbsState, KmsMetric, decompose_modular, modular_flow,
 SYMMETRY_TOL = 1e-9
 CHECK_PAIRS = 20       # random pairs of the symmetry check
 KRYLOV_TOL = 1e-10     # relative size of the last Lanczos correction
+KRYLOV_MAX = 220       # Lanczos vectors before KrylovError
 
 
 class KrylovError(RuntimeError):
@@ -77,7 +78,6 @@ class Superoperator:
     metric: KmsMetric | None = None
     symmetric_in_metric: bool = False
     sym_residual: float | None = None
-    label: str = ""
 
     @property
     def dim(self) -> int:
@@ -87,7 +87,7 @@ class Superoperator:
 def derivation_super(X: LatticeOperator) -> Superoperator:
     """delta_X(f) = i[X, f] as a superoperator: i (L_X - R_X)."""
     m = 1j * (left_mult(X) - right_mult(X))
-    return Superoperator(_prune(m), X.lattice, label=f"delta_{X.label}")
+    return Superoperator(_prune(m), X.lattice)
 
 
 def adjoint_derivation_super(X: LatticeOperator, metric: KmsMetric) -> Superoperator:
@@ -96,7 +96,7 @@ def adjoint_derivation_super(X: LatticeOperator, metric: KmsMetric) -> Superoper
     Wm = modular_flow(X.dag(), st, -0.5j)
     Wp = modular_flow(X.dag(), st, +0.5j)
     m = 1j * (right_mult(Wm) - left_mult(Wp))
-    return Superoperator(_prune(m), X.lattice, metric, label=f"delta*_{X.label}")
+    return Superoperator(_prune(m), X.lattice, metric)
 
 
 @dataclass
@@ -128,9 +128,8 @@ def _eigen_components(direction: DerivationDirection, state: GibbsState):
 
 
 def assemble_generator(directions, metric: KmsMetric, kernel: AdmissibleKernel,
-                       path: str = "eigen", *, check: bool = True,
-                       seed: int = 0) -> Superoperator:
-    """Assemble K = -L for the given directions, kernel and state.
+                       path: str = "eigen", *, seed: int = 0) -> Superoperator:
+    """Assemble K = -L for the given directions, kernel and state, flagged.
 
     eigen path:      K = sum_dir sum_{k,l} nu eta_hat((w_l - w_k) beta)
                          delta*_{X_k} delta_{X_l}  + (mu part with X*).
@@ -151,10 +150,8 @@ def assemble_generator(directions, metric: KmsMetric, kernel: AdmissibleKernel,
     else:
         raise ValueError(f"unknown assembly path {path!r}")
 
-    sup = Superoperator(generator_kernel(feeds, state.dim), state.lattice,
-                        metric, label="-L")
-    if check:
-        _verify_generator(sup, seed)
+    sup = Superoperator(generator_kernel(feeds, state.dim), state.lattice, metric)
+    _verify_generator(sup, seed)
     return sup
 
 
@@ -276,6 +273,13 @@ def _verify_generator(sup: Superoperator, seed: int):
         and unit_res <= 1e-10 * np.max(np.abs(K.data), initial=1.0))
 
 
+def require_symmetric(L: Superoperator):
+    """Raise numpy.linalg.LinAlgError unless L is flagged KMS-symmetric."""
+    if not L.symmetric_in_metric:
+        raise np.linalg.LinAlgError("generator is not flagged KMS-symmetric "
+                                    f"(residual {L.sym_residual})")
+
+
 def dirichlet_energy(f: LatticeOperator, L: Superoperator) -> float:
     """E(f) = <f, -L f> in the generator's KMS metric (L is stored as K = -L)."""
     v = vec(f)
@@ -377,35 +381,31 @@ def _smoothed(kernel: AdmissibleKernel) -> AdmissibleKernel:
     return kernel if kernel.sigma > 0 else AdmissibleKernel(kernel.kappa, kernel.n, 0.5)
 
 
-def semigroup_apply(L: Superoperator, f, t, *, max_krylov: int = 220):
+def semigroup_apply(L: Superoperator, f, t):
     """P_t f = exp(t L) f = exp(-t K) vec(f) at one time t, or the list of
     results at the times of a 1-D sequence t.
 
-    A generator flagged KMS-symmetric is Hermitian in the frame of its
-    metric, S = H K H^-1 (see `KmsMetric.half`), and exp(-t S) is taken by a
-    Lanczos Krylov exponential, one basis for all the times; any other
-    generator goes to scipy's expm_multiply, once per time.  Raises
-    KrylovError with the achieved residual when the Krylov iteration fails
-    to converge.
+    The generator must be flagged KMS-symmetric (`require_symmetric`); it
+    is then Hermitian in the frame of its metric, S = H K H^-1 (see
+    `KmsMetric.half`), and exp(-t S) is taken by a Lanczos Krylov
+    exponential, one basis for all the times.  Raises KrylovError with the
+    last correction when the iteration needs more than KRYLOV_MAX vectors.
     """
+    require_symmetric(L)
     times = np.atleast_1d(np.asarray(t, dtype=float))
     if np.any(times < 0):
         raise ValueError(f"semigroup time must be nonnegative, got {t}")
     v = vec(f).astype(complex)
     ys, run = np.tile(v, (times.size, 1)), times > 0
-    if run.any() and L.metric is not None and L.symmetric_in_metric:
+    if run.any():
         half, K = L.metric.half, L.matrix
         ys[run] = half(_lanczos_expm(lambda x: half(K @ half(x, -1)), half(v),
-                                     times[run], max_krylov).T, -1).T
-    elif run.any():
-        from scipy.sparse.linalg import expm_multiply
-        ys[run] = [expm_multiply(-s * L.matrix.tocsc(), v)
-                   for s in times[run]]
+                                     times[run]).T, -1).T
     out = [unvec(y, L.lattice) for y in ys]
     return out if np.ndim(t) else out[0]
 
 
-def _lanczos_expm(apply_S, v: np.ndarray, times: np.ndarray, kmax: int):
+def _lanczos_expm(apply_S, v: np.ndarray, times: np.ndarray):
     """exp(-t S) v for each t of `times` (as rows), S Hermitian PSD given as
     a matvec callable: Lanczos with full reorthogonalization, one basis for
     all the times, stored as the rows of V.  At step k the coefficient rows
@@ -418,7 +418,7 @@ def _lanczos_expm(apply_S, v: np.ndarray, times: np.ndarray, kmax: int):
     if nrm == 0:
         return np.zeros((times.size, v.size), dtype=complex)
     n = v.size
-    kmax = min(kmax, n)
+    kmax = min(KRYLOV_MAX, n)
     V = np.zeros((kmax, n), dtype=complex)
     alph = np.zeros(kmax)
     beta = np.zeros(kmax)

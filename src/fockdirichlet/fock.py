@@ -52,6 +52,9 @@ class LatticeConfig:
             raise ValueError(f"unknown geometry {self.geometry!r}")
         if self.geometry in ("chain", "cycle") and self.dims != 1:
             raise ValueError(f"{self.geometry} geometry requires dims=1")
+        if not isinstance(self.extent, int) and len(self.extent) != self.dims:
+            raise ValueError(f"extent {list(self.extent)} has "
+                             f"{len(self.extent)} entries but dims is {self.dims}")
         if self.neighbor_radius <= 0:
             raise ValueError("neighbor_radius must be positive")
 

@@ -83,6 +83,8 @@ class ModelSpec:
             if key not in KINDS[kind]:
                 raise ValueError(f"unknown {kind} param {key!r}; allowed: "
                                  f"{', '.join(KINDS[kind]) or 'none'}")
+        if self.nu == 0 and self.mu == 0:
+            raise ValueError("at least one of nu, mu must be positive")
         p = self.params = {**KINDS[kind], **self.params}
         if kind in ("z_field", "y_field") and p["xi"] is None:
             p["xi"] = p["kappa"]

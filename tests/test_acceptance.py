@@ -103,7 +103,7 @@ def test_criterion_2_kms_selfadjointness():
     for spec in catalog():
         built = build_model(spec)
         K = assemble_generator(built.directions, built.metric, KERNEL,
-                               path="eigen", check=False)
+                               path="eigen")
         metric = built.metric
         D = spec.lattice.dim
         unit = np.linalg.norm(K.matrix @ vec(identity_operator(spec.lattice)))
@@ -148,9 +148,9 @@ def test_criterion_3_generator_equivalence():
     for spec in catalog():
         built = build_model(spec)
         Ke = assemble_generator(built.directions, built.metric, KERNEL,
-                                path="eigen", check=False)
+                                path="eigen")
         Kq = assemble_generator(built.directions, built.metric, KERNEL,
-                                path="quadrature", check=False)
+                                path="quadrature")
         dev_paths = max(dev_paths, abs(Ke.matrix - Kq.matrix).max())
     # (c) kernel transform closed form vs quadrature on the frequency grids
     dev_ker = 0.0

@@ -85,8 +85,9 @@ def test_dense_symmetrized_generator_matches_kron_reference(kernel):
 def test_gap_requires_symmetry_flag(kernel):
     lat = LatticeConfig(1, 1, "chain", 1.0, 3)
     built = build_model(ModelSpec("mean_field", lat))
-    K = assemble_generator(built.directions, built.metric, kernel, check=False)
-    with pytest.raises(ValueError):
+    K = assemble_generator(built.directions, built.metric, kernel)
+    K.symmetric_in_metric = False
+    with pytest.raises(np.linalg.LinAlgError, match="not flagged"):
         spectral_gap(K)
 
 
@@ -395,14 +396,17 @@ def test_particle_number_charge_guard():
     # an 11-dimensional kernel, wider than the k = 6 eigenvalues asked for
     ("mean_field_n", (1, 3, "chain", 1.0, 2)),
 ], ids=["mean_field", "z_power_above_limit", "mean_field_n_wide_kernel"])
-def test_gap_iterative_solver_agrees_with_dense(kernel, kind, lattice):
+def test_gap_iterative_solver_agrees_with_dense(kernel, kind, lattice,
+                                                monkeypatch):
     lat = LatticeConfig(*lattice)
     built = build_model(ModelSpec(kind, lat))
     K = assemble_generator(built.directions, built.metric, kernel)
-    dense = spectral_gap(K, dense_limit=K.dim)
-    iterative = spectral_gap(K, k=6, dense_limit=0)
     assert spectral_gap(K, k=6).metadata["solver"] == (
         "dense" if K.dim <= DENSE_GAP_LIMIT else "shift-invert")
+    monkeypatch.setattr("fockdirichlet.analysis.DENSE_GAP_LIMIT", K.dim)
+    dense = spectral_gap(K)
+    monkeypatch.setattr("fockdirichlet.analysis.DENSE_GAP_LIMIT", 0)
+    iterative = spectral_gap(K, k=6)
     assert iterative.metadata["solver"] == "shift-invert"
     assert iterative.gap == pytest.approx(dense.gap, abs=1e-8)
     assert iterative.kernel_dim == dense.kernel_dim
@@ -419,8 +423,9 @@ def test_shift_invert_failure_is_a_linalg_error(kernel, monkeypatch, error):
     lat = LatticeConfig(1, 1, "chain", 1.0, 4)
     built = build_model(ModelSpec("mean_field", lat))
     K = assemble_generator(built.directions, built.metric, kernel)
+    monkeypatch.setattr("fockdirichlet.analysis.DENSE_GAP_LIMIT", 0)
     with pytest.raises(np.linalg.LinAlgError, match="shift-invert"):
-        spectral_gap(K, dense_limit=0)
+        spectral_gap(K)
 
 
 # --------------------------------------------------------------------------
@@ -428,7 +433,7 @@ def test_shift_invert_failure_is_a_linalg_error(kernel, monkeypatch, error):
 # --------------------------------------------------------------------------
 
 def _stacked_case(case, kernel):
-    """Unchecked generator on heat_ring4's lattice (diagonal state) or on two
+    """Generator on heat_ring4's lattice (diagonal state) or on two
     mean_field sites at n_max 3 (non-diagonal, clean span residual 0.105)."""
     if case == "heat_ring4":
         spec = ModelSpec("z_power", LatticeConfig(1, 4, "cycle", 1.0, 2),
@@ -437,7 +442,7 @@ def _stacked_case(case, kernel):
         spec = ModelSpec("mean_field", LatticeConfig(1, 2, "chain", 1.0, 3))
     built = build_model(spec)
     assert built.state.diagonal == (case == "heat_ring4")
-    return assemble_generator(built.directions, built.metric, kernel, check=False)
+    return assemble_generator(built.directions, built.metric, kernel)
 
 
 def _span_restriction_reference(K, unit):

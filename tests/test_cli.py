@@ -315,6 +315,26 @@ def test_budget_env_var(tmp_path, monkeypatch):
     assert main(["--config", str(p), "--out", str(tmp_path)]) == 3
 
 
+@pytest.mark.parametrize("env, flag", [
+    ("abc", None), ("0", None), ("1.5", None), (None, "0"), (None, "-5"),
+    ("64", "0")], ids=["env-abc", "env-0", "env-float", "flag-0", "flag-neg",
+                       "flag-0-over-env"])
+def test_budget_not_a_positive_integer_exits_2(tmp_path, capsys, monkeypatch,
+                                               env, flag):
+    p = write_config(tmp_path)
+    if env is None:
+        monkeypatch.delenv("FOCKDIRICHLET_BUDGET_MB", raising=False)
+    else:
+        monkeypatch.setenv("FOCKDIRICHLET_BUDGET_MB", env)
+    out = tmp_path / "out"
+    argv = ["--config", str(p), "--out", str(out)]
+    assert main(argv + (["--budget-mb", flag] if flag else [])) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "budget" in err.lower()
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_remaining_experiments_smoke(tmp_path):
     scenarios = {
         "gap": {"model": {"kind": "mean_field",
@@ -430,6 +450,9 @@ def _model(kind="z_power", n_max=2, **params):
     {"experiment": "verify", "model": {
         **_model("invariant_aij", sites_i=[0], sites_j=[1]), "lattice": {
             "dims": 2, "extent": 2, "geometry": "box", "n_max": 2}}},
+    {"experiment": "heat", "model": {**_model(), "lattice": {
+        "dims": 1, "extent": [2, 2], "geometry": "chain", "n_max": 2}}},
+    {"experiment": "gap", "model": {**_model("mean_field"), "nu": 0, "mu": 0}},
 ], ids=["verify-no-model", "gap-no-model", "heat-no-model",
         "mean_field_n-n1", "scaling-unknown-kind", "heat-mean_field",
         "heat-nmax1", "scaling-unknown-test", "heat-unknown-edges",
@@ -438,7 +461,8 @@ def _model(kind="z_power", n_max=2, **params):
         "z_field-scalar-kappa", "z_power-float-n", "zjk-kappa-length",
         "gap-z_field-no-direction", "verify-z_field-no-direction",
         "verify-aij-no-direction", "gap-aij-negative-site",
-        "heat-one-site", "verify-aij-box"])
+        "heat-one-site", "verify-aij-box", "heat-extent-length-not-dims",
+        "gap-zero-weights"])
 def test_config_the_run_cannot_use_exits_2(tmp_path, capsys, overrides):
     p = write_config(tmp_path, **overrides)
     cfg = json.loads(p.read_text())
@@ -465,41 +489,46 @@ def test_component_limit_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("experiment, model, stand_in, message", [
-    ("heat", _model(), ("heat_comparison", KrylovError),
+def _failing(error):
+    def failing(*args, **kwargs):
+        raise error("did not converge")
+    return failing
+
+
+@pytest.mark.parametrize("experiment, model, patch, message", [
+    ("heat", _model(), ("fockdirichlet.analysis.heat_comparison",
+                        _failing(KrylovError)),
      "KrylovError: did not converge"),
-    ("gap", _model(), ("spectral_gap", np.linalg.LinAlgError),
+    ("gap", _model(), ("fockdirichlet.analysis.spectral_gap",
+                       _failing(np.linalg.LinAlgError)),
      "LinAlgError: did not converge"),
-    # no stand-in: the n_max + 1 rerun's generator (max|K| 3e10) misses
+    # no patch: the n_max + 1 rerun's generator (max|K| 3e10) misses
     # SYMMETRY_TOL, so spectral_gap refuses it. The case relies on that
     # fixed bound (an open defect: it does not grow with the generator's
     # conditioning) and must be rewritten with another unflagged generator
     # once the bound does.
     ("gap", {**_model("zjk_quadratic", n_max=4), "beta": 2.0}, None,
+     "LinAlgError: generator is not flagged KMS-symmetric (residual "),
+    # a zero tolerance leaves the heat generator unflagged, and
+    # semigroup_apply refuses it
+    ("heat", _model(), ("fockdirichlet.dirichlet.SYMMETRY_TOL", 0.0),
      "LinAlgError: generator is not flagged KMS-symmetric (residual ")],
     ids=["heat-heat_comparison-KrylovError", "gap-spectral_gap-LinAlgError",
-         "gap-zjk_quadratic-unflagged_rerun"])
+         "gap-zjk_quadratic-unflagged_rerun", "heat-unflagged"])
 def test_numerical_failure_exits_4(tmp_path, capsys, monkeypatch, experiment,
-                                   model, stand_in, message):
-    from fockdirichlet import analysis
-
-    if stand_in:
-        function, error = stand_in
-
-        def failing(*args, **kwargs):
-            raise error("did not converge")
-
-        monkeypatch.setattr(analysis, function, failing)
+                                   model, patch, message):
+    if patch:
+        monkeypatch.setattr(*patch)
     p = write_config(tmp_path, experiment=experiment, model=model)
     out = tmp_path / "out"
     assert main(["--config", str(p), "--out", str(out)]) == 4
     err = capsys.readouterr().err
-    if stand_in:
-        assert err == f"numerical failure: {message}\n"
-    else:
+    if message.endswith("(residual "):
         # the residual in the message differs from run to run
         assert err.startswith(f"numerical failure: {message}")
         assert err.count("\n") == 1 and err.endswith("\n")
+    else:
+        assert err == f"numerical failure: {message}\n"
     assert not out.exists()
 
 

@@ -164,7 +164,7 @@ def test_identity_check_is_relative_to_largest_entry(kernel):
     assert K.symmetric_in_metric
 
 
-def test_identity_defect_clears_symmetry_flag(two_site, kernel):
+def _identity_defect(two_site, kernel):
     # c times the identity superoperator keeps K KMS-symmetric but moves
     # vec(I), here by 1e-6 relative to the largest entry of K
     lat, state, metric = two_site
@@ -174,8 +174,23 @@ def test_identity_defect_clears_symmetry_flag(two_site, kernel):
     c = 1e-6 * max(1.0, np.max(np.abs(K.matrix.data))) / np.linalg.norm(idv)
     bad = Superoperator(K.matrix + c * sp.identity(K.dim, format="csr"), lat, metric)
     _verify_generator(bad, 0)
+    return bad
+
+
+def test_identity_defect_clears_symmetry_flag(two_site, kernel):
+    bad = _identity_defect(two_site, kernel)
     assert bad.sym_residual < 1e-12
     assert not bad.symmetric_in_metric
+
+
+def test_unflagged_generator_is_refused(two_site, kernel):
+    bad = _identity_defect(two_site, kernel)
+    f = site_operator(two_site[0], "a", 0)
+    for run in (lambda: semigroup_apply(bad, f, [0.0, 0.3]),
+                lambda: spectral_gap(bad)):
+        with pytest.raises(np.linalg.LinAlgError,
+                           match=r"not flagged KMS-symmetric \(residual "):
+            run()
 
 
 def test_kms_symmetry_random_pairs(single_mode, kernel, rng):
@@ -387,15 +402,6 @@ def test_semigroup_on_dense_state_matches_expm(kind, n_max, kernel, rng):
     _assert_semigroup_matches_expm(K, random_op(rng, lat), lat)
 
 
-def test_semigroup_unchecked_generator_matches_expm(single_mode, kernel, rng):
-    # a generator not flagged symmetric takes the expm_multiply fallback
-    lat, state, metric = single_mode
-    a = site_operator(lat, "a", 0)
-    K = assemble_generator([DerivationDirection(a)], metric, kernel, check=False)
-    assert not K.symmetric_in_metric
-    _assert_semigroup_matches_expm(K, random_op(rng, lat), lat)
-
-
 def test_eigen_path_diagnostic_on_dense_spectra(kernel, rng):
     # a generic dense Hamiltonian shatters a random direction into more
     # frequency buckets than the eigen path accepts
@@ -408,22 +414,23 @@ def test_eigen_path_diagnostic_on_dense_spectra(kernel, rng):
     X = random_op(rng, lat)
     with pytest.raises(ValueError, match="modular components"):
         assemble_generator([DerivationDirection(X)], metric, kernel,
-                           path="eigen", check=False)
+                           path="eigen")
 
 
-def test_krylov_nonconvergence_reported(single_mode, kernel, rng):
+def test_krylov_nonconvergence_reported(single_mode, kernel, rng, monkeypatch):
     from fockdirichlet.dirichlet import KrylovError
     lat, state, metric = single_mode
     a = site_operator(lat, "a", 0)
     K = assemble_generator([DerivationDirection(a)], metric, kernel)
     f = random_op(rng, lat)
+    monkeypatch.setattr("fockdirichlet.dirichlet.KRYLOV_MAX", 3)
     with pytest.raises(KrylovError):
-        semigroup_apply(K, f, 3.0, max_krylov=3)
+        semigroup_apply(K, f, 3.0)
 
 
 def _times_case(case, kernel):
-    """(K, lattice): the one-mode generator on its diagonal state, unchecked
-    (the expm_multiply fallback), or the dense-state mean_field generator."""
+    """(K, lattice): the one-mode generator on its diagonal state, or the
+    dense-state mean_field generator."""
     if case == "dense_state":
         lat = LatticeConfig(1, 2, "chain", 1.0, 3)
         built = build_model(ModelSpec("mean_field", lat))
@@ -431,15 +438,14 @@ def _times_case(case, kernel):
     lat = LatticeConfig(1, 1, "chain", 1.0, 4)
     metric = KmsMetric(gibbs_state(site_operator(lat, "n", 0), 1.0))
     direction = DerivationDirection(site_operator(lat, "a", 0))
-    return assemble_generator([direction], metric, kernel,
-                              check=case != "unchecked"), lat
+    return assemble_generator([direction], metric, kernel), lat
 
 
-@pytest.mark.parametrize("case", ["diagonal", "dense_state", "unchecked"])
-def test_semigroup_times_share_one_basis(case, kernel, rng):
+@pytest.mark.parametrize("case", ["diagonal", "dense_state"])
+def test_semigroup_times_share_one_basis(case, kernel, rng, monkeypatch):
     from fockdirichlet.dirichlet import KrylovError
     K, lat = _times_case(case, kernel)
-    assert K.symmetric_in_metric == (case != "unchecked")
+    assert K.symmetric_in_metric
     f = random_op(rng, lat)
     times = [0.0, 0.3, 1.7]
     many = semigroup_apply(K, f, times)
@@ -451,9 +457,9 @@ def test_semigroup_times_share_one_basis(case, kernel, rng):
         assert (got - dense).fro_norm() <= 1e-9 * dense.fro_norm()
     with pytest.raises(ValueError):
         semigroup_apply(K, f, [0.3, -0.1, 1.0])
-    if K.symmetric_in_metric:
-        with pytest.raises(KrylovError, match="did not converge within 3"):
-            semigroup_apply(K, f, [0.3, 3.0], max_krylov=3)
+    monkeypatch.setattr("fockdirichlet.dirichlet.KRYLOV_MAX", 3)
+    with pytest.raises(KrylovError, match="did not converge within 3"):
+        semigroup_apply(K, f, [0.3, 3.0])
 
 
 def test_rows_is_one_csr_of_row_major_flattenings(rng):

@@ -37,8 +37,8 @@ def instances(draw):
 
 
 def _assemble(built, kernel, path):
-    return assemble_generator(built.directions, built.metric, kernel, path=path,
-                              check=False).matrix
+    return assemble_generator(built.directions, built.metric, kernel,
+                              path=path).matrix
 
 
 @settings(max_examples=EXAMPLES)
