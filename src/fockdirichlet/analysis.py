@@ -29,12 +29,13 @@ from .kernels import AdmissibleKernel
 from .models import PRODUCT_KINDS, ModelSpec, build_model
 from .state import KmsMetric, decompose_modular
 
-# D^2 up to which eigh is used: the measured crossover with shift-invert on
-# non-diagonal states, where eigh wins at D^2 = 729 and shift-invert at 1296
-# (1 BLAS thread); on diagonal states shift-invert wins from D^2 = 441 on
-DENSE_GAP_LIMIT = 1024
+# D^2 up to which eigh is used: the measured crossover with shift-invert,
+# the same on diagonal and non-diagonal states (1 BLAS thread): eigh wins at
+# D^2 = 196, the two tie at 225, and shift-invert wins from 256 on
+DENSE_GAP_LIMIT = 225
 CLEAN_SPAN_TOL = 1e-9    # span residual above which the span is not invariant
 ZERO_TOL = 1e-10         # eigenvalues of -L below this count as its kernel
+GAP_SHIFT = -1e-6        # shift-invert target, just below the kernel
 DECAY_TIMES = 12         # log-spaced times of each ring's decay fit
 SCALING_MARGIN = 1       # cutoff headroom levels of the scaling derivations
 
@@ -111,14 +112,10 @@ class GapReport:
     metadata: dict = field(default_factory=dict)
 
 
-def symmetrized_generator(L: Superoperator):
+def symmetrized_generator(L: Superoperator) -> np.ndarray:
     """S = H K H^-1 in the frame H = G^(1/2) of the generator's
-    `KmsMetric.half`, Hermitian for KMS-symmetric K: sparse on a diagonal
-    state, dense otherwise."""
+    `KmsMetric.half`, as a dense array; Hermitian for KMS-symmetric K."""
     metric = L.metric
-    if metric.state.diagonal:
-        w = metric.half(np.ones(L.dim))  # the diagonal of H
-        return (sp.diags(w) @ L.matrix @ sp.diags(1.0 / w)).tocsr()
     # H is Hermitian, so H K H^-1 = (H^-1 (H K)^dag)^dag, H acting on columns
     return metric.half(metric.half(L.matrix.toarray()).conj().T, -1).conj().T
 
@@ -126,11 +123,13 @@ def symmetrized_generator(L: Superoperator):
 def spectral_gap(L: Superoperator, k: int = 8) -> GapReport:
     """Low spectrum of -L, symmetrized in the generator's KMS metric.
 
-    Dense eigh up to superoperator dimension DENSE_GAP_LIMIT, shift-inverted
-    Lanczos beyond; shift-invert doubles its count of lowest eigenvalues
+    Dense eigh of `symmetrized_generator` up to superoperator dimension
+    DENSE_GAP_LIMIT; beyond it, shift-inverted Lanczos on
+    (S - sigma)^-1 = H (K - sigma)^-1 H^-1, one sparse LU of K and no
+    D^2 x D^2 array.  Shift-invert doubles its count of lowest eigenvalues
     until one lies above ZERO_TOL, so a kernel of k or more dimensions is not
-    read as a zero gap.  Requires the generator's KMS-symmetry flag and
-    raises numpy.linalg.LinAlgError without it.
+    read as a zero gap.  Requires the generator's KMS-symmetry flag; without
+    it, or when the factorization or ARPACK fails, raises LinAlgError.
 
     `gap` is the raw gap of the hard-cutoff generator, which carries the
     top-level defect [A, A*] - 1 = -(n_max + 1) P_top.  `clean_eigenvalues`
@@ -149,29 +148,31 @@ def spectral_gap(L: Superoperator, k: int = 8) -> GapReport:
     monotonically in n_max onto C/2.
     """
     require_symmetric(L)
-    S = symmetrized_generator(L)
-    n = S.shape[0]
+    n = L.dim
     idv = vec(identity_operator(L.lattice))
     unit_res = float(np.linalg.norm(L.matrix @ idv) / max(np.linalg.norm(idv), 1.0))
     if n <= DENSE_GAP_LIMIT:
-        Sd = S.toarray() if sp.issparse(S) else S
-        Sd = 0.5 * (Sd + Sd.conj().T)
-        ev = np.linalg.eigvalsh(Sd)
+        S = symmetrized_generator(L)
+        ev = np.linalg.eigvalsh(0.5 * (S + S.conj().T))
     else:
-        from scipy.sparse.linalg import eigsh
-        Ss = sp.csc_matrix(S)
-        Ss = 0.5 * (Ss + Ss.conj().T)
+        from scipy.sparse.linalg import LinearOperator, eigsh, splu
+        half = L.metric.half
         m = min(k, n - 2)
-        while True:  # widen until an eigenvalue clears the kernel
-            try:
-                ev = np.sort(eigsh(Ss, k=m, sigma=-1e-6, which="LM",
-                                   return_eigenvectors=False))
-            except (RuntimeError, SystemError) as exc:  # factorization failure
-                raise np.linalg.LinAlgError(
-                    f"shift-invert symmetrization failed: {exc}") from exc
-            if ev[-1] >= ZERO_TOL or m == n - 2:
-                break
-            m = min(2 * m, n - 2)
+        try:
+            lu = splu((L.matrix - GAP_SHIFT * sp.identity(n)).tocsc())
+            # (S - sigma)^-1 = H (K - sigma)^-1 H^-1; ARPACK's shift-invert
+            # mode applies only this operator, and K has the spectrum of S
+            op = LinearOperator((n, n), dtype=complex,
+                                matvec=lambda x: half(lu.solve(half(x, -1))))
+            while True:  # widen until an eigenvalue clears the kernel
+                ev = np.sort(eigsh(L.matrix, k=m, sigma=GAP_SHIFT, OPinv=op,
+                                   which="LM", return_eigenvectors=False))
+                if ev[-1] >= ZERO_TOL or m == n - 2:
+                    break
+                m = min(2 * m, n - 2)
+        except (RuntimeError, SystemError) as exc:  # factorization failure
+            raise np.linalg.LinAlgError(
+                f"shift-invert spectral gap failed: {exc}") from exc
     kernel_dim = int(np.sum(ev < ZERO_TOL))
     above = ev[ev >= ZERO_TOL]
     gap = float(above.min()) if above.size else 0.0

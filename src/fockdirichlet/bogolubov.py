@@ -10,7 +10,8 @@ full-space leakage.
 
     V_s(f(A, A*)) = rho^{-1/4} rho_s^{1/4} f(a_s, a_s*) rho_s^{1/4} rho^{-1/4}
 
-with rho = exp(-U(A, A*))/Z and rho_s its transformed counterpart, and
+with rho = exp(-U(A, A*))/Z and rho_s its transformed counterpart, that is
+V_s = H^-1 H_s in the KMS frames of the two states (`KmsMetric.half`), and
 reports how far V_s is from a KMS isometry on random polynomial pairs.  At
 finite truncation the residual is only expected to shrink with n_max.
 """
@@ -23,10 +24,10 @@ import numpy as np
 
 from .fock import LatticeConfig, LatticeOperator, build_mode_ops, clean_projector, \
     compressed, embed, identity_operator
+from .state import KmsMetric, gibbs_state
 
 QI_PAIRS = 12       # random polynomial pairs of the quasi-invariance check
 POLY_MAX_LEN = 2    # longest ladder word of `random_polynomial`
-HERM_TOL = 1e-10    # relative anti-Hermitian part U(A, A*) may carry
 
 
 @dataclass(frozen=True)
@@ -136,7 +137,6 @@ class QuasiInvarianceReport:
     s: float
     unitarity_residual: float     # max over pairs of |<Vf,Vg> - <f,g>| / scale
     partition_shift: float        # |Z_s - Z| / Z
-    condition_ratio: float        # eigenvalue spread of rho after 1/4 powers
     value: np.ndarray             # V_s(f) for the supplied f
 
 
@@ -146,56 +146,40 @@ def quasi_invariance_rep(U: LadderPolynomial, path, f: LadderPolynomial,
     """Evaluate V_s(f) for a parameter path s -> BogolubovParams and measure
     the KMS-isometry residual over QI_PAIRS seeded random polynomial pairs.
 
+    omega and omega_s are the one-mode Gibbs states of U(A, A*) and
+    U(a_s, a_s*) at beta 1 (`gibbs_state` refuses a non-Hermitian U).  With
+    V_s = H^-1 H_s in their KMS frames, <V_s F, V_s G>_omega equals
+    <F_s, G_s>_{omega_s}, so the residual compares the two metrics.
+
     path(0) must be the identity transform.
     """
-    from scipy.linalg import eigh
     p0 = path(0.0)
     if abs(p0.tau - 1.0) > 1e-12 or abs(p0.theta) > 1e-12:
         raise ValueError("path(0) must be the identity transform")
     params = path(s)
+    lattice = LatticeConfig(1, 1, "chain", 1.0, n_max)
     A, Adag, _ = build_mode_ops(n_max)
     A, Adag = A.toarray(), Adag.toarray()
     a = params.tau * A + params.theta * Adag
     adag = a.conj().T
-
-    Um = U.evaluate(A, Adag)
-    if np.linalg.norm(Um - Um.conj().T) > HERM_TOL * max(np.linalg.norm(Um), 1.0):
-        raise ValueError("U(A, A*) is not Hermitian")
-    Us = U.evaluate(a, adag)
-
-    w0, V0 = eigh(Um)
-    ws, Vs = eigh(Us)
-    Z0 = float(np.exp(-w0).sum())
-    Zs = float(np.exp(-ws).sum())
-
-    def power(w, V, Z, z):
-        return (V * np.exp(z * (-w - np.log(Z)))[None, :]) @ V.conj().T
-
-    r0_quarter_inv = power(w0, V0, Z0, -0.25)
-    rs_quarter = power(ws, Vs, Zs, 0.25)
-    r0_half = power(w0, V0, Z0, 0.5)
-
-    spread = float(np.exp((np.max(-w0) - np.min(-w0)) * 0.25))
-
-    def vmap(F):
-        return r0_quarter_inv @ rs_quarter @ F @ rs_quarter @ r0_quarter_inv
-
-    def kms(F, G):
-        return complex(np.trace(r0_half @ F.conj().T @ r0_half @ G))
+    m0, ms = (KmsMetric(gibbs_state(LatticeOperator(U.evaluate(x, xd), {0},
+                                                    lattice, "U"), 1.0))
+              for x, xd in ((A, Adag), (a, adag)))
 
     rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(QI_PAIRS):
-        pf, pg = random_polynomial(rng), random_polynomial(rng)
-        F, G = pf.evaluate(A, Adag), pg.evaluate(A, Adag)
-        Fs, Gs = pf.evaluate(a, adag), pg.evaluate(a, adag)
-        lhs = kms(vmap(Fs), vmap(Gs))
-        rhs = kms(F, G)
-        scale = np.sqrt(abs(kms(F, F)) * abs(kms(G, G)))
-        worst = max(worst, abs(lhs - rhs) / max(scale, 1e-300))
+    pairs = [(random_polynomial(rng), random_polynomial(rng))
+             for _ in range(QI_PAIRS)]
 
-    value = vmap(f.evaluate(a, adag))
+    def stacks(x, xd):  # the f's and the g's of the pairs, as vec columns
+        return [np.stack([p.evaluate(x, xd).reshape(-1, order="F")
+                          for p in polys], axis=1) for polys in zip(*pairs)]
+
+    (F, G), (Fs, Gs) = stacks(A, Adag), stacks(a, adag)
+    scale = np.sqrt(np.abs(m0.vec_inner(F, F)) * np.abs(m0.vec_inner(G, G)))
+    residual = np.abs(ms.vec_inner(Fs, Gs) - m0.vec_inner(F, G))
+    value = m0.half(ms.half(f.evaluate(a, adag).reshape(-1, order="F")), -1)
     return QuasiInvarianceReport(
-        n_max=n_max, s=s, unitarity_residual=float(worst),
-        partition_shift=abs(Zs - Z0) / Z0, condition_ratio=spread,
-        value=value)
+        n_max=n_max, s=s,
+        unitarity_residual=float(np.max(residual / np.maximum(scale, 1e-300))),
+        partition_shift=float(abs(np.expm1(ms.state.log_Z - m0.state.log_Z))),
+        value=value.reshape(A.shape, order="F"))

@@ -11,7 +11,8 @@ Exit codes: 0 success, 1 experiment assertion failed, 2 config violation
 experiment cannot use: one with no direction on its lattice, or one whose
 directions split into more modular components than the eigen path takes;
 an --nmax-override on an experiment that reads no `model` block, which has
-no lattice to override; a memory budget that is not a positive integer),
+no lattice to override; a memory budget that is not a positive integer;
+a negative --seed or a --jobs below 1),
 3 memory-budget refusal, 4 numerical failure (Krylov non-convergence, a
 failed linear-algebra routine, or a generator that fails its KMS-symmetry
 check).  Exits 2, 3 and 4 write no report.
@@ -490,6 +491,11 @@ def main(argv=None) -> int:
 
     if bool(args.config) == bool(args.manifest):
         parser.error("exactly one of --config / --manifest is required")
+    for flag, value, low in (("--seed", args.seed, 0), ("--jobs", args.jobs, 1)):
+        if value is not None and value < low:
+            print(f"config error: {flag} must be an integer >= {low}, got "
+                  f"{value}", file=sys.stderr)
+            return 2
 
     if args.config:
         return _run_one((args.config, args.out, args.seed,

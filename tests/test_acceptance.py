@@ -118,7 +118,6 @@ def test_criterion_2_kms_selfadjointness():
                             * abs(metric.vec_inner(vg, vg)))
             worst_sym = max(worst_sym, abs(lhs - rhs) / max(scale, 1e-300))
         S = symmetrized_generator(K)
-        S = S.toarray() if sp.issparse(S) else S
         ev = np.linalg.eigvalsh(0.5 * (S + S.conj().T))
         worst_psd = min(worst_psd, float(ev.min()))
     ok = worst_sym <= 1e-9 and worst_unit <= 1e-12 and worst_psd >= -1e-9

@@ -3,6 +3,7 @@ from operator import add
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.linalg import expm
 
 from fockdirichlet import (AdmissibleKernel, DerivationDirection, LatticeConfig,
@@ -70,16 +71,19 @@ def test_clean_gap_none_without_invariant_span(kernel):
 
 
 def test_dense_symmetrized_generator_matches_kron_reference(kernel):
-    # G^(1/2) = kron(M^T, M) with M = rho^(1/4) on a non-diagonal state
+    # G^(1/2) = kron(M^T, M) with M = rho^(1/4), on a non-diagonal and on a
+    # diagonal state
     lat = LatticeConfig(1, 2, "chain", 1.0, 3)
-    built = build_model(ModelSpec("mean_field", lat))
-    assert not built.state.diagonal
-    K = assemble_generator(built.directions, built.metric, kernel)
-    M, Minv = built.state.power(0.25), built.state.power(-0.25)
-    ref = np.kron(M.T, M) @ K.matrix.toarray() @ np.kron(Minv.T, Minv)
-    S = symmetrized_generator(K)
-    assert np.abs(S - ref).max() < 1e-12 * np.abs(ref).max()
-    assert np.abs(S - S.conj().T).max() < 1e-9 * np.abs(ref).max()
+    for kind, diagonal in (("mean_field", False), ("z_power", True)):
+        built = build_model(ModelSpec(kind, lat))
+        assert built.state.diagonal == diagonal
+        K = assemble_generator(built.directions, built.metric, kernel)
+        M, Minv = (sp.csr_matrix(built.state.power(z)).toarray()
+                   for z in (0.25, -0.25))
+        ref = np.kron(M.T, M) @ K.matrix.toarray() @ np.kron(Minv.T, Minv)
+        S = symmetrized_generator(K)
+        assert np.abs(S - ref).max() < 1e-12 * np.abs(ref).max()
+        assert np.abs(S - S.conj().T).max() < 1e-9 * np.abs(ref).max()
 
 
 def test_gap_requires_symmetry_flag(kernel):
@@ -391,11 +395,17 @@ def test_particle_number_charge_guard():
 
 @pytest.mark.parametrize("kind, lattice", [
     ("mean_field", (1, 1, "chain", 1.0, 4)),
-    # D^2 = 1296, just above DENSE_GAP_LIMIT: shift-invert by default
+    # D^2 = 1296, above DENSE_GAP_LIMIT: shift-invert by default
     ("z_power", (1, 2, "chain", 1.0, 5)),
     # an 11-dimensional kernel, wider than the k = 6 eigenvalues asked for
     ("mean_field_n", (1, 3, "chain", 1.0, 2)),
-], ids=["mean_field", "z_power_above_limit", "mean_field_n_wide_kernel"])
+    # a non-diagonal state, where S is a dense D^2 x D^2 array
+    ("mean_field", (1, 2, "chain", 1.0, 5)),
+    # ill-conditioned: the two solvers differ by about 4e-11
+    ("g_model", (1, 1, "chain", 1.0, 8)),
+    ("zjk_quadratic", (1, 2, "chain", 1.0, 4)),
+], ids=["mean_field", "z_power_above_limit", "mean_field_n_wide_kernel",
+        "mean_field_nondiagonal", "g_model", "zjk_quadratic"])
 def test_gap_iterative_solver_agrees_with_dense(kernel, kind, lattice,
                                                 monkeypatch):
     lat = LatticeConfig(*lattice)
@@ -405,6 +415,13 @@ def test_gap_iterative_solver_agrees_with_dense(kernel, kind, lattice,
         "dense" if K.dim <= DENSE_GAP_LIMIT else "shift-invert")
     monkeypatch.setattr("fockdirichlet.analysis.DENSE_GAP_LIMIT", K.dim)
     dense = spectral_gap(K)
+
+    def no_dense_superoperator(L):
+        raise AssertionError("shift-invert formed the dense S")
+
+    # shift-invert works on the sparse K and forms no D^2 x D^2 array
+    monkeypatch.setattr("fockdirichlet.analysis.symmetrized_generator",
+                        no_dense_superoperator)
     monkeypatch.setattr("fockdirichlet.analysis.DENSE_GAP_LIMIT", 0)
     iterative = spectral_gap(K, k=6)
     assert iterative.metadata["solver"] == "shift-invert"
@@ -412,14 +429,18 @@ def test_gap_iterative_solver_agrees_with_dense(kernel, kind, lattice,
     assert iterative.kernel_dim == dense.kernel_dim
 
 
-@pytest.mark.parametrize("error", [RuntimeError, SystemError])
-def test_shift_invert_failure_is_a_linalg_error(kernel, monkeypatch, error):
+@pytest.mark.parametrize("routine, error", [
+    ("eigsh", RuntimeError), ("eigsh", SystemError),
+    ("splu", RuntimeError), ("splu", SystemError),
+], ids=["RuntimeError", "SystemError", "splu-RuntimeError", "splu-SystemError"])
+def test_shift_invert_failure_is_a_linalg_error(kernel, monkeypatch, routine,
+                                                error):
     import scipy.sparse.linalg
 
     def failing(*args, **kwargs):
         raise error("factor is exactly singular")
 
-    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", failing)
+    monkeypatch.setattr(scipy.sparse.linalg, routine, failing)
     lat = LatticeConfig(1, 1, "chain", 1.0, 4)
     built = build_model(ModelSpec("mean_field", lat))
     K = assemble_generator(built.directions, built.metric, kernel)

@@ -5,7 +5,8 @@ from fockdirichlet import (BogolubovParams, LadderPolynomial, LatticeConfig,
                            bogolubov_pair, commutator, identity_operator,
                            minkowski_field, number_polynomial,
                            quasi_invariance_rep, site_operator)
-from fockdirichlet.fock import clean_projector, compressed
+from fockdirichlet.bogolubov import random_polynomial
+from fockdirichlet.fock import build_mode_ops, clean_projector, compressed
 
 
 def clean_norm(op, lat, margin=2):
@@ -79,6 +80,31 @@ def test_quasi_invariance_residual_trend():
     assert residuals[0] >= residuals[1] >= residuals[2]
     # Z_s = Z up to truncation leakage, shrinking with the cutoff
     assert shifts[0] < 0.05 and shifts[2] < shifts[0]
+
+
+def _gibbs_power(H, z):
+    """rho^z for rho = exp(-H)/Z, from eigh."""
+    w, V = np.linalg.eigh(H)
+    log_p = -w - np.log(np.exp(-w).sum())
+    return (V * np.exp(z * log_p)) @ V.conj().T
+
+
+@pytest.mark.parametrize("s", [0.0, 0.1])
+def test_quasi_invariance_value_is_the_sandwich(s):
+    # V_s(f) = rho^{-1/4} rho_s^{1/4} f(a_s, a_s*) rho_s^{1/4} rho^{-1/4},
+    # which is f(A, A*) itself at s = 0
+    n_max, U = 6, number_polynomial()
+    f = random_polynomial(np.random.default_rng(3))
+    rep = quasi_invariance_rep(U, BogolubovParams.boost, f, s, n_max)
+    A, Adag, _ = (m.toarray() for m in build_mode_ops(n_max))
+    params = BogolubovParams.boost(s)
+    a = params.tau * A + params.theta * Adag
+    adag = a.conj().T
+    r0_inv = _gibbs_power(U.evaluate(A, Adag), -0.25)
+    rs = _gibbs_power(U.evaluate(a, adag), 0.25)
+    expected = (f.evaluate(A, Adag) if s == 0.0
+                else r0_inv @ rs @ f.evaluate(a, adag) @ rs @ r0_inv)
+    assert np.abs(rep.value - expected).max() <= 1e-12 * np.abs(expected).max()
 
 
 def test_quasi_invariance_rejects_bad_inputs():

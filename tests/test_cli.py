@@ -265,10 +265,10 @@ import json, sys
 from fockdirichlet import cli
 heavy = sys.argv[1].split(",")
 after_import = [m for m in heavy if m in sys.modules]
-scaling = cli.load_config(sys.argv[2])
+scaling, *others = (cli.load_config(p) for p in sys.argv[3:])
 scaling["params"]["sizes"] = [3, 4]
-for cfg in (scaling, cli.load_config(sys.argv[3])):
-    assert cli.run_scenario(cfg, out_dir=sys.argv[4])[0] == 0
+for cfg in (scaling, *others):
+    assert cli.run_scenario(cfg, out_dir=sys.argv[2])[0] == 0
 print(json.dumps([after_import, [m for m in heavy if m in sys.modules]]))
 """
 
@@ -276,12 +276,13 @@ print(json.dumps([after_import, [m for m in heavy if m in sys.modules]]))
 def test_import_loads_only_what_every_run_calls(tmp_path):
     # module level holds numpy, scipy.sparse and jsonschema; the heavier
     # scipy modules and the process pool load at their call sites, which
-    # a scaling or lieb-robinson run never reaches (test_manifest_jobs
-    # covers the pool)
+    # the scaling, lieb-robinson and benchmark `assembly` runs (verify, gap
+    # and bogolubov) never reach (test_manifest_jobs covers the pool)
+    stems = ("scaling_aij", "lieb_robinson_chain5", "verify_mean_field",
+             "gap_mean_field", "bogolubov_boost")
     proc = subprocess.run(
         [sys.executable, "-c", IMPORT_PROBE, ",".join(HEAVY_MODULES),
-         str(SCENARIOS / "scaling_aij.json"),
-         str(SCENARIOS / "lieb_robinson_chain5.json"), str(tmp_path)],
+         str(tmp_path), *(str(SCENARIOS / f"{s}.json") for s in stems)],
         capture_output=True, text=True, env=_child_env())
     assert proc.returncode == 0, proc.stderr
     after_import, after_runs = json.loads(proc.stdout.splitlines()[-1])
@@ -333,6 +334,22 @@ def test_budget_not_a_positive_integer_exits_2(tmp_path, capsys, monkeypatch,
     assert err.startswith("config error:") and "budget" in err.lower()
     assert err.count("\n") == 1 and "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--seed", "-1"), ("--jobs", "0"), ("--jobs", "-3")],
+    ids=["seed-neg", "jobs-0", "jobs-neg"])
+def test_seed_or_jobs_out_of_range_exits_2(tmp_path, capsys, flag, value):
+    p = write_config(tmp_path)
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps([p.name]))
+    out = tmp_path / "out"
+    for source in (["--config", str(p)], ["--manifest", str(manifest)]):
+        assert main(source + ["--out", str(out), flag, value]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and flag in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not out.exists()
 
 
 def test_remaining_experiments_smoke(tmp_path):
