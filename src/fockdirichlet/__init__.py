@@ -14,8 +14,7 @@ from .dirichlet import (DerivationDirection, Superoperator,
                         gamma1_closed_form, gamma1_contour_form,
                         generator_kernel, semigroup_apply, vec, unvec)
 from .models import (AlgebraReport, BuiltModel, ModelSpec, ModularOrbit,
-                     build_model, mean_field_n_coefficients,
-                     mean_field_n_orbit, modular_orbit, one_particle_flow,
+                     build_model, mean_field_n_coefficients, modular_orbit,
                      verify_algebra)
 from .bogolubov import (BogolubovParams, LadderPolynomial, bogolubov_pair,
                         minkowski_field, number_polynomial,

@@ -140,8 +140,11 @@ def spectral_gap(L: Superoperator, k: int = 8) -> GapReport:
     CLEAN_SPAN_TOL (the span is not invariant); `clean_span_residual` is
     reported whenever the restriction was computed.
 
-    On an invariant span these are eigenvalues of the generator, so in
-    general `clean_gap` is an upper bound on the gap, not the gap.  For the
+    On an invariant span these are eigenvalues of the untruncated
+    generator, whose action on the span the clean block reproduces, so in
+    general `clean_gap` is an upper bound on its gap, not the gap.  It does
+    not bound the raw `gap`: on the 5-site `z_power` ring at n_max 2 the raw
+    gap is 1.547 and `clean_gap` 1.440.  For the
     one-site mean-field mode the span carries the bottom of the quantum
     Ornstein-Uhlenbeck spectrum {0, C/2, C/2, C, ...}, C/2 = 2 eta_hat(0)
     sinh(beta/2), and `clean_gap` is the gap itself: the raw gap decreases
@@ -315,6 +318,8 @@ def rayleigh_scaling(kind: str, test: str, sizes, *, n_max: int = 1,
     """
     kernel = kernel or AdmissibleKernel()
     sizes = list(sizes)
+    if not sizes or min(sizes) < 1:
+        raise ValueError(f"scaling window sizes must be >= 1, got {sizes}")
     if test not in ("sum_adag", "sum_n"):
         raise ValueError(f"unknown test sequence {test!r}")
     offset = 0 if kind == "mean_field" else pad

@@ -6,7 +6,8 @@ Model kinds
 mean_field      collective mode X = (1/sqrt(N)) sum A_k, interacting state
                 from U = X* X.
 mean_field_n    collective power X_n = N^-eps sum A_k^n, same state; modular
-                orbit by an integer coefficient recursion.
+                orbit from the eigenvectors of an integer coefficient
+                recursion.
 z_field         translated fields Z_kappa = sum_l kappa_l A_{l+j} over a
                 product state.
 zjk_quadratic   edge fields Z_jk = kappa_j A_j + eps_k A_k with the
@@ -60,7 +61,6 @@ PRODUCT_KINDS = ("z_field", "y_field", "w_ops", "z_power", "y_power",
                  "invariant_aij")
 RECURSION_ORDER = 5   # nested commutators in `mean_field_n_recursion_check`
 RECURSION_TOL = 1e-9
-ORBIT_TOL = 1e-10     # series remainder bound of `mean_field_n_orbit`
 
 
 @dataclass
@@ -190,10 +190,13 @@ def _pow(op: LatticeOperator, k: int) -> LatticeOperator:
     return out
 
 
-def _collective(ops, c) -> LatticeOperator:
-    """The collective sum c sum_s op_s, added in site order."""
-    out = ops[0] * c
-    for op in ops[1:]:
+def _combination(ops, coeffs) -> LatticeOperator:
+    """sum_k coeffs_k ops_k, added in order; a single number applies to
+    every term."""
+    if isinstance(coeffs, numbers.Number):
+        coeffs = [coeffs] * len(ops)
+    out = ops[0] * coeffs[0]
+    for op, c in zip(ops[1:], coeffs[1:]):
         out = out + op * c
     return out
 
@@ -212,7 +215,7 @@ def build_model(spec: ModelSpec) -> BuiltModel:
     directions, orbits, notes = [], [], []
 
     if kind in ("mean_field", "mean_field_n"):
-        X = _collective(a, 1.0 / np.sqrt(lattice.n_sites))
+        X = _combination(a, 1.0 / np.sqrt(lattice.n_sites))
         X.label = "X"
         H = X.dag() @ X
         if kind == "mean_field":
@@ -220,13 +223,13 @@ def build_model(spec: ModelSpec) -> BuiltModel:
             orbits.append([(X, 1.0)])
         else:
             n = p["n"]
-            Xn = _collective([_pow(x, n) for x in a],
-                             1.0 / lattice.n_sites ** p["eps"])
+            Xn = _combination([_pow(x, n) for x in a],
+                              1.0 / lattice.n_sites ** p["eps"])
             Xn.label = f"X_{n}"
             directions.append(DerivationDirection(Xn, spec.nu, spec.mu))
             orbits.append(None)
             notes.append("orbit via the coefficient recursion; see "
-                         "mean_field_n_orbit")
+                         "modular_orbit")
     elif kind in ("z_field", "y_field"):
         for shift in _shifts(lattice, max(len(p["kappa"]), len(p["xi"]))):
             Zk, Zx = _z_pair(a, p, shift, lattice)
@@ -446,7 +449,7 @@ def verify_algebra(spec: ModelSpec) -> AlgebraReport:
     checks: list[IdentityCheck] = []
 
     if kind == "mean_field":
-        X = _collective(a, 1.0 / np.sqrt(lattice.n_sites))
+        X = _combination(a, 1.0 / np.sqrt(lattice.n_sites))
         checks.append(_check("ccr_collective", commutator(X, X.dag()), Iop,
                              lattice, margin=1))
     elif kind == "mean_field_n":
@@ -549,7 +552,7 @@ def _delta(i, j) -> float:
 
 
 # --------------------------------------------------------------------------
-# mean-field power model: coefficient recursion and orbit
+# mean-field power model: coefficient recursion
 # --------------------------------------------------------------------------
 
 def mean_field_n_coefficients(n: int, k_max: int) -> list[dict[int, int]]:
@@ -576,13 +579,13 @@ def _mean_field_n_basis(spec: ModelSpec):
     lattice = spec.lattice
     a, _ = _ladder(lattice)
     n, eps, Ns = spec.params["n"], spec.params["eps"], lattice.n_sites
-    X = _collective(a, 1.0 / np.sqrt(Ns))
+    X = _combination(a, 1.0 / np.sqrt(Ns))
     U = X.dag() @ X
 
     def xpow_sum(k):
         if k == 0:
             return identity_operator(lattice) * float(Ns ** (1 - eps))
-        return _collective([_pow(x, k) for x in a], 1.0 / Ns ** eps)
+        return _combination([_pow(x, k) for x in a], 1.0 / Ns ** eps)
 
     M = []
     for l in range(n + 1):
@@ -644,35 +647,6 @@ def mean_field_n_recursion_check(spec: ModelSpec) -> list[IdentityCheck]:
     return checks
 
 
-def mean_field_n_orbit(spec: ModelSpec, t: float):
-    """alpha_t(X_n) via the coefficient series, with the series order K
-    chosen so the (n+1)^k / k! remainder bound falls below ORBIT_TOL.
-
-    Returns (operator, K, bound).
-    """
-    n, beta = spec.params["n"], spec.beta
-    x = abs(beta * t) * (n + 1)
-    K, term, bound = 1, x, x
-    while True:
-        K += 1
-        term *= x / K
-        # remaining tail of sum_{k>K} x^k / k! bounded by geometric series
-        if term < ORBIT_TOL / np.e or K > 400:
-            bound = term * np.e
-            break
-    coeffs = mean_field_n_coefficients(n, K)
-    _, _, M = _mean_field_n_basis(spec)
-    acc = None
-    fac = 1.0
-    for k in range(K + 1):
-        if k > 0:
-            fac *= (-1j * beta * t) / k
-        for l, c in coeffs[k].items():
-            term_op = M[l] * (fac * c)
-            acc = term_op if acc is None else acc + term_op
-    return acc, K, float(bound)
-
-
 # --------------------------------------------------------------------------
 # modular orbits
 # --------------------------------------------------------------------------
@@ -686,71 +660,63 @@ class OrbitUnsupportedError(ValueError):
 
 @dataclass
 class ModularOrbit:
+    """alpha_t(X) = sum_k exp(i w_k beta t) X_k over the eigencomponents
+    (X_k, w_k) of `components`."""
     components: list[tuple[LatticeOperator, float]]
     beta: float
-    kind: str = "eigen"
-    one_particle_matrix: np.ndarray | None = None
-    initial_coefficients: np.ndarray | None = None
-    site_ops: list[LatticeOperator] | None = None
     note: str = ""
 
-    def coefficients(self, t: float) -> np.ndarray:
-        """One-particle coefficient vector c(t) = exp(i beta t h)^T c(0)."""
-        from scipy.linalg import expm
-        if self.one_particle_matrix is None:
-            raise ValueError("not a one-particle orbit")
-        prop = expm(1j * self.beta * t * self.one_particle_matrix)
-        return prop.T @ self.initial_coefficients
-
     def reconstruct(self, t: float) -> LatticeOperator:
-        if self.kind == "one_particle":
-            c = self.coefficients(t)
-            out = None
-            for cm, op in zip(c, self.site_ops):
-                term = op * cm
-                out = term if out is None else out + term
-            return out
-        out = None
-        for op, w in self.components:
-            term = op * np.exp(1j * w * self.beta * t)
-            out = term if out is None else out + term
-        return out
+        ops, freqs = zip(*self.components)
+        return _combination(ops, [np.exp(1j * w * self.beta * t) for w in freqs])
 
 
 def modular_orbit(built: BuiltModel, index: int) -> ModularOrbit:
-    """Analytic modular orbit of one direction.
+    """Analytic modular orbit of one direction as eigencomponents.
 
-    Product states give exact eigencomponent decompositions.  The mean-field
-    mode, alpha_t(X) = exp(i beta t) X, and the quadratic edge model, which
-    reduces to a one-particle matrix: alpha_t(A_l) =
-    sum_m [exp(i beta t h)]_{lm} A_m, are exact only on the total-occupation
-    sector <= n_max; their orbits say so in `note`.  Non-number-conserving
-    states raise OrbitUnsupportedError.
+    Product states give exact decompositions on the full truncated space.
+    The number-conserving interacting kinds are exact only on the
+    total-occupation sector <= n_max, where the truncated operators obey the
+    untruncated algebra; their orbits say so in `note`:
+    - mean_field: alpha_t(X) = exp(i beta t) X;
+    - zjk_quadratic: [H, A_l] = -sum_m h_lm A_m (`one_particle_matrix`).
+      With h = W diag(lam) W*, Z = sum_l c0_l A_l has the component
+      (c0 W)_m sum_s conj(W_sm) A_s at frequency lam_m;
+    - mean_field_n: ad_U^k(X_n) = sum_l (T^k e_0)_l M_l, where T is the
+      lower-bidiagonal matrix of the `mean_field_n_coefficients` recursion
+      and M_l come from `_mean_field_n_basis`.  With T = V diag(-l) V^-1 the
+      component at frequency l = 0..n is (V^-1 e_0)_l sum_j V_jl M_j.
+    The g_model state is not number-conserving: OrbitUnsupportedError.
     """
     spec = built.spec
     if spec.kind == "g_model":
         raise OrbitUnsupportedError(
             "g_model state is not number-conserving; use the quadrature path")
-    if built.orbits[index] is not None:
-        note = f"alpha_t(X) = exp(i beta t) X; {_SECTOR_NOTE}" \
-            if spec.kind == "mean_field" else ""
-        return ModularOrbit(built.orbits[index], spec.beta, note=note)
     if spec.kind == "zjk_quadratic":
         kap, eps, edges = _edge_fields(spec)
         j, k = edges[index]
         c0 = np.zeros(spec.lattice.n_sites, complex)
         c0[j] += kap[j]
         c0[k] += eps[k]
-        return ModularOrbit(
-            components=[], beta=spec.beta, kind="one_particle",
-            one_particle_matrix=one_particle_matrix(spec),
-            initial_coefficients=c0, site_ops=_ladder(spec.lattice)[0],
-            note=f"alpha_t(Z_{j},{k}) = sum_m c_m(t) A_m with "
-                 f"c(t) = exp(i beta t h)^T c0; {_SECTOR_NOTE}")
-    if spec.kind == "mean_field_n":
-        raise OrbitUnsupportedError(
-            "mean_field_n orbit is provided by mean_field_n_orbit")
-    raise OrbitUnsupportedError(f"no analytic orbit for {spec.kind}")
+        lam, W = np.linalg.eigh(one_particle_matrix(spec))
+        a = _ladder(spec.lattice)[0]
+        comps = [(_combination(a, W[:, m].conj() * c), float(w))
+                 for m, (c, w) in enumerate(zip(c0 @ W, lam))]
+        note = f"alpha_t(Z_{j},{k}) by the one-particle matrix h"
+    elif spec.kind == "mean_field_n":
+        n = spec.params["n"]
+        T = np.diag(-np.arange(n + 1.0)) + np.diag(-np.arange(n, 0.0, -1), -1)
+        lam, V = np.linalg.eig(T)
+        c = np.linalg.solve(V, np.eye(n + 1)[0])
+        M = _mean_field_n_basis(spec)[2]
+        comps = [(_combination(M, V[:, l] * c[l]), float(-w))
+                 for l, w in enumerate(lam)]
+        note = "alpha_t(X_n) by the coefficient recursion"
+    elif spec.kind in PRODUCT_KINDS:
+        return ModularOrbit(built.orbits[index], spec.beta)
+    else:
+        comps, note = built.orbits[index], "alpha_t(X) = exp(i beta t) X"
+    return ModularOrbit(comps, spec.beta, note=f"{note}; {_SECTOR_NOTE}")
 
 
 def one_particle_matrix(spec: ModelSpec) -> np.ndarray:
@@ -765,11 +731,3 @@ def one_particle_matrix(spec: ModelSpec) -> np.ndarray:
         h[j, k] += np.conj(kap[j]) * eps[k]
         h[k, j] += np.conj(eps[k]) * kap[j]
     return h
-
-
-def one_particle_flow(spec: ModelSpec, site: int, t: float) -> np.ndarray:
-    """Coefficient vector c(t) with alpha_t(A_site) = sum_m c_m(t) A_m."""
-    h = one_particle_matrix(spec)
-    from scipy.linalg import expm
-    prop = expm(1j * spec.beta * t * h)
-    return prop[site, :]

@@ -470,6 +470,18 @@ def _model(kind="z_power", n_max=2, **params):
     {"experiment": "heat", "model": {**_model(), "lattice": {
         "dims": 1, "extent": [2, 2], "geometry": "chain", "n_max": 2}}},
     {"experiment": "gap", "model": {**_model("mean_field"), "nu": 0, "mu": 0}},
+    # inputs the analysis routines refuse with a ValueError
+    {"experiment": "lieb-robinson", "model": None,
+     "params": {"chain_length": 3}},
+    {"experiment": "lieb-robinson", "model": None, "params": {"n_max": 0}},
+    {"experiment": "decay", "model": None, "params": {"lengths": [2]}},
+    {"experiment": "decay", "model": None,
+     "params": {"cross_check_n_max": 1}},
+    {"experiment": "heat", "model": _model(), "params": {"t_grid": [-1.0]}},
+    {"experiment": "scaling", "model": None, "params": {"sizes": [0, 3, 4]}},
+    # experiment params of the wrong type
+    {"experiment": "bogolubov", "model": None, "params": {"s": "x"}},
+    {"experiment": "scaling", "model": None, "params": {"sizes": "abc"}},
 ], ids=["verify-no-model", "gap-no-model", "heat-no-model",
         "mean_field_n-n1", "scaling-unknown-kind", "heat-mean_field",
         "heat-nmax1", "scaling-unknown-test", "heat-unknown-edges",
@@ -479,7 +491,9 @@ def _model(kind="z_power", n_max=2, **params):
         "gap-z_field-no-direction", "verify-z_field-no-direction",
         "verify-aij-no-direction", "gap-aij-negative-site",
         "heat-one-site", "verify-aij-box", "heat-extent-length-not-dims",
-        "gap-zero-weights"])
+        "gap-zero-weights", "lieb-robinson-chain3", "lieb-robinson-nmax0",
+        "decay-length2", "decay-cross-check-nmax1", "heat-negative-time",
+        "scaling-size0", "bogolubov-string-s", "scaling-string-sizes"])
 def test_config_the_run_cannot_use_exits_2(tmp_path, capsys, overrides):
     p = write_config(tmp_path, **overrides)
     cfg = json.loads(p.read_text())

@@ -7,12 +7,11 @@ from fockdirichlet import (AdmissibleKernel, DerivationDirection, KmsMetric,
                            LatticeConfig, ModelSpec, assemble_generator,
                            build_model, commutator, dirichlet_energy,
                            identity_operator, mean_field_n_coefficients,
-                           mean_field_n_orbit, modular_flow, modular_orbit,
-                           site_operator, total_sector_projector,
-                           verify_algebra)
+                           modular_flow, modular_orbit, site_operator,
+                           total_sector_projector, verify_algebra)
 from fockdirichlet.fock import compressed
-from fockdirichlet.models import (MODEL_KINDS, OrbitUnsupportedError,
-                                  one_particle_flow, one_particle_matrix)
+from fockdirichlet.models import (MODEL_KINDS, PRODUCT_KINDS,
+                                  OrbitUnsupportedError, one_particle_matrix)
 
 
 def clean_block_norm(op, lattice, margin):
@@ -132,13 +131,12 @@ def test_mean_field_n_series_orbit_matches_flow():
     lat = LatticeConfig(1, 2, "chain", 1.0, 6)
     spec = ModelSpec("mean_field_n", lat, params={"n": 2, "eps": 0.5})
     built = build_model(spec)
+    orbit = modular_orbit(built, 0)
     Q = total_sector_projector(lat, lat.n_max)
     for t in (0.1, 0.7, 2.3):
-        series, K, bound = mean_field_n_orbit(spec, t)
         flowed = modular_flow(built.directions[0].X, built.state, t)
-        diff = compressed(series - flowed, Q)
+        diff = compressed(orbit.reconstruct(t) - flowed, Q)
         assert np.linalg.norm(diff, 2) < 1e-10
-        assert bound < 1e-10
 
 
 def test_orbit_reconstruction_product_models():
@@ -185,9 +183,6 @@ def test_one_particle_reduction():
         diff = compressed(recon - flowed, Q)
         assert np.linalg.norm(diff, 2) < 1e-8
     assert "sector <= n_max" in orbit.note
-    # single-site flow coefficients stay normalized under the unitary
-    c = one_particle_flow(spec, 0, 0.9)
-    assert c.shape == (2,)
     # the mean-field orbit alpha_t(X) = e^{i beta t} X is exact on the same
     # sector only: above it the cutoff breaks [X* X, X] = -X
     built = build_model(ModelSpec("mean_field", lat))
@@ -197,6 +192,39 @@ def test_one_particle_reduction():
                                                  built.state, 0.7)
     assert np.abs(compressed(diff, Q)).max() < 1e-13
     assert abs(diff.matrix).max() > 1.0
+
+
+# the orbit tolerance of each kind that is exact only on the sector of total
+# occupation <= n_max; the product kinds' orbits are exact on the full space
+SECTOR_ORBIT_TOL = {"mean_field": 1e-13, "mean_field_n": 1e-10,
+                    "zjk_quadratic": 1e-8}
+ORBIT_PARAMS = {"mean_field_n": {"n": 3},
+                "zjk_quadratic": {"kappa": [1, 0.5, 0.3]},
+                "invariant_aij": {"sites_i": [0], "sites_j": [1]}}
+
+
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_every_kind_orbit_matches_modular_flow(kind):
+    lat = LatticeConfig(1, 3 if kind == "zjk_quadratic" else 2, "chain", 1.0, 4)
+    spec = ModelSpec(kind, lat, params=ORBIT_PARAMS.get(kind, {}))
+    built = build_model(spec)
+    if kind == "g_model":
+        with pytest.raises(OrbitUnsupportedError):
+            modular_orbit(built, 0)
+        return
+    Q = total_sector_projector(lat, lat.n_max)
+    for index, d in enumerate(built.directions):
+        orbit = modular_orbit(built, index)
+        for t in (0.1, 0.7, 2.3):
+            diff = orbit.reconstruct(t) - modular_flow(d.X, built.state, t)
+            if kind in PRODUCT_KINDS:
+                assert diff.fro_norm() < 1e-10
+            else:
+                assert np.linalg.norm(compressed(diff, Q), 2) \
+                    < SECTOR_ORBIT_TOL[kind]
+    if kind == "mean_field_n":
+        assert sorted(w for _, w in orbit.components) \
+            == list(range(spec.params["n"] + 1))
 
 
 def test_g_model_orbit_unsupported():
