@@ -377,6 +377,7 @@ class HeatReport:
     full_semigroup_deviation: float   # raw truncated semigroup backreaction
     raw_span_residual: float          # projection residual on the full space
     metadata: dict = field(default_factory=dict)
+    semigroup: dict = field(default_factory=dict)  # Krylov run, for the sidecar
 
 
 def graph_laplacian(lattice: LatticeConfig) -> np.ndarray:
@@ -425,7 +426,8 @@ def heat_comparison(lattice: LatticeConfig, *, beta: float = 1.0,
     # raw truncated-semigroup backreaction (full_dev), reported not asserted
     kappa0 = np.eye(N, dtype=complex)[0]
     f = span.basis[0] + span.basis[N]
-    sol = span.coefficients(semigroup_apply(K, f, t_grid))
+    stats = {}
+    sol = span.coefficients(semigroup_apply(K, f, t_grid, stats=stats))
     traj_dev = full_dev = 0.0
     for t, coef in zip(t_grid, (0.5 * (sol[:N] + sol[N:])).T):
         k_oracle = expm(-t * C * Lg) @ kappa0
@@ -442,7 +444,8 @@ def heat_comparison(lattice: LatticeConfig, *, beta: float = 1.0,
                       metadata={"beta": beta, "edges": edges,
                                 "n_max": lattice.n_max,
                                 "geometry": lattice.geometry,
-                                "n_sites": N})
+                                "n_sites": N},
+                      semigroup=stats)
 
 
 # --------------------------------------------------------------------------
@@ -567,12 +570,18 @@ def _sector_blocks(op: LatticeOperator, sectors, charge: int) -> list:
     return [m[sectors[n + charge]][:, sectors[n]].toarray() for n in range(lo, hi)]
 
 
+def _norm2(m: np.ndarray) -> float:
+    """The 2-norm of a dense block: the square root of the top eigenvalue
+    of its smaller Gram matrix, in place of a full SVD."""
+    g = m.conj().T @ m if m.shape[0] >= m.shape[1] else m @ m.conj().T
+    return float(np.sqrt(max(np.linalg.eigvalsh(g)[-1], 0.0)))
+
+
 def _lowering_comm_norm(phi, x) -> float:
     """||[Phi, X]||_2 for Phi of charge 0 and X of charge -1, from their
     blocks: the commutator maps sector n + 1 to n, its blocks occupy disjoint
     rows and columns, so its 2-norm is the largest block 2-norm."""
-    return max(np.linalg.norm(phi[n] @ xn - xn @ phi[n + 1], 2)
-               for n, xn in enumerate(x))
+    return max(_norm2(phi[n] @ xn - xn @ phi[n + 1]) for n, xn in enumerate(x))
 
 
 def lieb_robinson_probe(chain_length: int = 5, n_max: int = 2, *,
@@ -649,7 +658,7 @@ def lieb_robinson_probe(chain_length: int = 5, n_max: int = 2, *,
     logD = c0 + max(0.0, float(np.max(rhs - rows @ sol)))
     bound_ok = bool(np.all(rhs <= logD + fitC * t_grid[it] - fitm * d + 1e-9))
 
-    norms = [max(np.linalg.norm(b, 2) for b in phi) for phi in phis]
+    norms = [max(map(_norm2, phi)) for phi in phis]
     cphi = _interaction_constant(bonds, norms, lattice)
     return LRReport(t_grid=t_grid, distances=dists, B=B,
                     fit_D=float(np.exp(logD)), fit_C=float(fitC),

@@ -166,14 +166,16 @@ def _heat(n_max, spec, p, kernel, seed):
                                    edges=p["edges"], t_grid=tuple(p["t_grid"]),
                                    seed=seed)
     return Run({
-        "heat": {k: v for k, v in vars(rep).items() if k != "restriction"},
+        "heat": {k: v for k, v in vars(rep).items()
+                 if k not in ("restriction", "semigroup")},
         # the clean quantities are cutoff-exact by construction; the raw
         # deviations above are the truncation-sensitivity signal
         "truncation_sensitivity": {
             "note": "clean quantities are cutoff-exact; see "
                     "full_semigroup_deviation / raw_span_residual"}},
         rep.span_residual <= 1e-9 and rep.restriction_deviation <= 1e-8
-        and rep.trajectory_deviation <= 1e-6)
+        and rep.trajectory_deviation <= 1e-6,
+        meta={"semigroup": rep.semigroup})
 
 
 def _decay(n_max, spec, p, kernel, seed):
@@ -197,7 +199,8 @@ def _decay(n_max, spec, p, kernel, seed):
         and (cc is None or cc.trajectory_deviation <= 1e-6),
         [("length", "slope", "window_lo", "window_hi"),
          *((L, s, w[0], w[1]) for L, s, w in
-           zip(rep.lengths, rep.slopes, rep.windows))])
+           zip(rep.lengths, rep.slopes, rep.windows))],
+        {"semigroup": cc.semigroup if cc else None})
 
 
 def _light_cone_bytes(n_max, spec, p):
@@ -340,8 +343,13 @@ CONFIG_SCHEMA = {
               for name, exp in EXPERIMENTS.items()],
 }
 
-# built once: jsonschema.validate would check the schema on every call
-_VALIDATOR = jsonschema.validators.validator_for(CONFIG_SCHEMA)(CONFIG_SCHEMA)
+# built once: jsonschema.validate would check the schema on every call.
+# The draft's "integer" admits integral floats such as 4.0, which the runs
+# cannot use as counts or sizes; here it admits Python ints only.
+_DRAFT = jsonschema.validators.validator_for(CONFIG_SCHEMA)
+_VALIDATOR = jsonschema.validators.extend(_DRAFT, type_checker=(
+    _DRAFT.TYPE_CHECKER.redefine("integer", lambda _, x: isinstance(x, int)
+                                 and not isinstance(x, bool))))(CONFIG_SCHEMA)
 
 
 def load_config(path: str) -> dict:

@@ -32,6 +32,7 @@ and must agree:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -381,7 +382,7 @@ def _smoothed(kernel: AdmissibleKernel) -> AdmissibleKernel:
     return kernel if kernel.sigma > 0 else AdmissibleKernel(kernel.kappa, kernel.n, 0.5)
 
 
-def semigroup_apply(L: Superoperator, f, t):
+def semigroup_apply(L: Superoperator, f, t, stats: dict | None = None):
     """P_t f = exp(t L) f = exp(-t K) vec(f) at one time t, or the list of
     results at the times of a 1-D sequence t.
 
@@ -390,6 +391,15 @@ def semigroup_apply(L: Superoperator, f, t):
     `KmsMetric.half`), and exp(-t S) is taken by a Lanczos Krylov
     exponential, one basis for all the times.  Raises KrylovError with the
     last correction when the iteration needs more than KRYLOV_MAX vectors.
+
+    Lanczos runs on one coordinate block of vec(f): on a diagonal state H
+    is elementwise, so S has the pattern of K, and the block is the
+    `_invariant_block` of supp(vec(f)), which K maps into itself; the run
+    uses K[blk][:, blk] and the block's weights, and the result is exactly
+    0 outside the block.  On a non-diagonal state H mixes coordinates, and
+    the block is every coordinate (K is used as it is).  A `stats` dict is
+    filled with the block size, D^2 as `dim`, the Krylov steps and the last
+    correction (None when no correction was taken).
     """
     require_symmetric(L)
     times = np.atleast_1d(np.asarray(t, dtype=float))
@@ -397,26 +407,55 @@ def semigroup_apply(L: Superoperator, f, t):
         raise ValueError(f"semigroup time must be nonnegative, got {t}")
     v = vec(f).astype(complex)
     ys, run = np.tile(v, (times.size, 1)), times > 0
+    metric, K = L.metric, L.matrix
+    blk = _invariant_block(K, v) if metric.state.diagonal else np.arange(v.size)
+    steps, delta = 0, np.inf
     if run.any():
-        half, K = L.metric.half, L.matrix
-        ys[run] = half(_lanczos_expm(lambda x: half(K @ half(x, -1)), half(v),
-                                     times[run]).T, -1).T
+        if blk.size < v.size:
+            K = K[blk][:, blk]
+        half = functools.partial(metric.half, block=blk)
+        y, steps, delta = _lanczos_expm(lambda x: half(K @ half(x, -1)),
+                                        half(v[blk]), times[run])
+        ys[run] = 0.0
+        ys[np.ix_(run, blk)] = half(y.T, -1).T
+    if stats is not None:
+        stats.update(block=int(blk.size), dim=int(v.size), krylov_steps=steps,
+                     last_correction=float(delta) if np.isfinite(delta) else None)
     out = [unvec(y, L.lattice) for y in ys]
     return out if np.ndim(t) else out[0]
 
 
+def _invariant_block(K: sp.csr_matrix, v: np.ndarray) -> np.ndarray:
+    """The sorted coordinates of the weakly connected components of K's
+    stored pattern that meet supp(v).  A weak component is closed along
+    every stored entry in both directions, so K maps the block into itself
+    (K[~blk][:, blk] has no entry), and so does K^T.  The graph is the
+    pattern, not K's complex values: an entry whose real part is zero is
+    still an edge."""
+    from scipy.sparse.csgraph import connected_components
+    pattern = sp.csr_matrix((np.ones(K.nnz, dtype=np.int8), K.indices, K.indptr),
+                            shape=K.shape)
+    _, labels = connected_components(pattern, connection="weak")
+    return np.flatnonzero(np.isin(labels, labels[v != 0]))
+
+
 def _lanczos_expm(apply_S, v: np.ndarray, times: np.ndarray):
     """exp(-t S) v for each t of `times` (as rows), S Hermitian PSD given as
-    a matvec callable: Lanczos with full reorthogonalization, one basis for
-    all the times, stored as the rows of V.  At step k the coefficient rows
-    c_k(t) = nrm exp(-t T_k) e_1 form one (n_times, k) array, and V is
-    orthonormal, so the correction at time t has the norm of
-    c_k(t) - (c_{k-1}(t), 0); the iteration stops once the worst time's
-    correction falls to KRYLOV_TOL * max(nrm, 1), and forms c_k V_k once.
+    a matvec callable, with the step count and the last correction:
+    Lanczos with full reorthogonalization, one basis for all the times,
+    stored as the rows of V.  S and v may be the restriction to a block
+    that S maps into itself; the Krylov space then never leaves it.  At step
+    k the coefficient rows c_k(t) = nrm exp(-t T_k) e_1 form one
+    (n_times, k) array, from the eigenpairs of the tridiagonal T_k
+    (`eigh_tridiagonal`), and V is orthonormal, so the correction at time t
+    has the norm of c_k(t) - (c_{k-1}(t), 0); the iteration stops once the
+    worst time's correction falls to KRYLOV_TOL * max(nrm, 1), and forms
+    c_k V_k once.
     """
+    from scipy.linalg import eigh_tridiagonal
     nrm = np.linalg.norm(v)
     if nrm == 0:
-        return np.zeros((times.size, v.size), dtype=complex)
+        return np.zeros((times.size, v.size), dtype=complex), 0, np.inf
     n = v.size
     kmax = min(KRYLOV_MAX, n)
     V = np.zeros((kmax, n), dtype=complex)
@@ -431,14 +470,13 @@ def _lanczos_expm(apply_S, v: np.ndarray, times: np.ndarray):
     delta = np.inf
     while True:
         b = np.linalg.norm(w)
-        T = np.diag(alph[:k]) + np.diag(beta[1:k], 1) + np.diag(beta[1:k], -1)
-        ew, Q = np.linalg.eigh(T)
+        ew, Q = eigh_tridiagonal(alph[:k], beta[1:k])
         small = (np.exp(-np.outer(times, ew)) * Q[0]) @ Q.T * nrm
         if k > 1:
             delta = np.linalg.norm(small - np.pad(last, ((0, 0), (0, 1))),
                                    axis=1).max()
         if delta <= KRYLOV_TOL * max(nrm, 1.0) or b < 1e-14:
-            return small @ V[:k]
+            return small @ V[:k], k, delta
         if k >= kmax:
             raise KrylovError(
                 f"Krylov exponential did not converge within {kmax} vectors "

@@ -179,11 +179,16 @@ class KmsMetric:
             return {1: w, -1: 1.0 / w}
         return {1: self.state.power(0.25), -1: self.state.power(-0.25)}
 
-    def half(self, x: np.ndarray, s: int = 1) -> np.ndarray:
+    def half(self, x: np.ndarray, s: int = 1, block=None) -> np.ndarray:
         """H^s x for s = +-1, for one vectorized operator or for each column
-        of a (D^2, k) array."""
+        of a (D^2, k) array.  On a diagonal state H is elementwise, and x may
+        hold only the coordinates `block` of a vectorized operator; on a
+        non-diagonal state H mixes coordinates, x holds all of them and
+        `block` is not read."""
         f = self._half_factors[s]
         if self.state.diagonal:
+            if block is not None:
+                f = f[block]
             return f * x if x.ndim == 1 else f[:, None] * x
         D = self.state.dim
         X = np.moveaxis(x.reshape(D, D, -1, order="F"), 2, 0)

@@ -412,6 +412,29 @@ def test_heat_and_decay_assemble_with_the_run_seed(tmp_path, monkeypatch,
     assert seeds == [5]
 
 
+@pytest.mark.parametrize("experiment, params", [
+    ("heat", {}), ("decay", {"lengths": [8], "cross_check_length": 3}),
+    ("decay", {"lengths": [8], "cross_check_length": None})])
+def test_heat_and_decay_sidecars_record_the_semigroup(tmp_path, experiment,
+                                                      params):
+    model = {"kind": "z_power", "beta": 1.0,
+             "lattice": {"dims": 1, "extent": 2, "geometry": "chain",
+                         "n_max": 2}}
+    cfg = load_config(str(write_config(tmp_path, experiment=experiment,
+                                       model=model, params=params)))
+    status, report = run_scenario(cfg, out_dir=str(tmp_path / "out"))
+    assert status == 0
+    meta = json.loads((tmp_path / "out" / "report.json.meta.json").read_text())
+    assert "krylov_steps" not in json.dumps(report)
+    [facts] = meta["semigroup"]
+    if params.get("cross_check_length", 1) is None:
+        assert facts is None
+        return
+    assert set(facts) == {"block", "dim", "krylov_steps", "last_correction"}
+    assert 0 < facts["block"] < facts["dim"]
+    assert facts["krylov_steps"] > 1 and facts["last_correction"] <= 1e-10
+
+
 # one misspelled param per experiment
 MISSPELLED = {"verify": {"nmax": 3}, "gap": {"kk": 8},
               "scaling": {"size": [3, 4]}, "heat": {"tgrid": [0.3]},
@@ -482,6 +505,11 @@ def _model(kind="z_power", n_max=2, **params):
     # experiment params of the wrong type
     {"experiment": "bogolubov", "model": None, "params": {"s": "x"}},
     {"experiment": "scaling", "model": None, "params": {"sizes": "abc"}},
+    # integral floats in integer fields
+    {"experiment": "lieb-robinson", "model": None,
+     "params": {"chain_length": 4.0}},
+    {"experiment": "scaling", "model": None, "params": {"sizes": [3.0, 4, 5]}},
+    {"experiment": "heat", "model": _model(n_max=3.0)},
 ], ids=["verify-no-model", "gap-no-model", "heat-no-model",
         "mean_field_n-n1", "scaling-unknown-kind", "heat-mean_field",
         "heat-nmax1", "scaling-unknown-test", "heat-unknown-edges",
@@ -493,7 +521,9 @@ def _model(kind="z_power", n_max=2, **params):
         "heat-one-site", "verify-aij-box", "heat-extent-length-not-dims",
         "gap-zero-weights", "lieb-robinson-chain3", "lieb-robinson-nmax0",
         "decay-length2", "decay-cross-check-nmax1", "heat-negative-time",
-        "scaling-size0", "bogolubov-string-s", "scaling-string-sizes"])
+        "scaling-size0", "bogolubov-string-s", "scaling-string-sizes",
+        "lieb-robinson-float-chain-length", "scaling-float-sizes",
+        "heat-float-lattice-nmax"])
 def test_config_the_run_cannot_use_exits_2(tmp_path, capsys, overrides):
     p = write_config(tmp_path, **overrides)
     cfg = json.loads(p.read_text())

@@ -12,8 +12,8 @@ from fockdirichlet import (AdmissibleKernel, DerivationDirection, KmsMetric,
                            semigroup_apply, site_operator, spectral_gap, vec,
                            unvec)
 from fockdirichlet.models import ModelSpec, build_model
-from fockdirichlet.dirichlet import (Superoperator, _verify_generator, left_mult,
-                                     right_mult)
+from fockdirichlet.dirichlet import (Superoperator, _invariant_block,
+                                     _verify_generator, left_mult, right_mult)
 
 from conftest import random_op
 
@@ -460,6 +460,58 @@ def test_semigroup_times_share_one_basis(case, kernel, rng, monkeypatch):
     monkeypatch.setattr("fockdirichlet.dirichlet.KRYLOV_MAX", 3)
     with pytest.raises(KrylovError, match="did not converge within 3"):
         semigroup_apply(K, f, [0.3, 3.0])
+
+
+@pytest.fixture
+def ring3_heat(kernel):
+    """The heat generator of the z_power 3-ring at n_max 2 and the vector of
+    f = A_0 + A_0*, the start of the heat experiment."""
+    lat = LatticeConfig(1, 3, "cycle", 1.0, 2)
+    built = build_model(ModelSpec("z_power", lat, params={"n": 1, "m": 1}))
+    K = assemble_generator(built.directions, built.metric, kernel)
+    a = site_operator(lat, "a", 0)
+    return K, a + a.dag(), lat
+
+
+def test_invariant_block_holds_support_and_is_invariant(ring3_heat):
+    K, f, lat = ring3_heat
+    assert K.metric.state.diagonal
+    v = vec(f)
+    blk = _invariant_block(K.matrix, v)
+    out = np.ones(v.size, dtype=bool)
+    out[blk] = False
+    assert np.all(np.isin(np.flatnonzero(v), blk))
+    assert K.matrix[out][:, blk].nnz == 0 and K.matrix[blk][:, out].nnz == 0
+    assert blk.size < lat.dim ** 2
+
+
+def test_semigroup_on_the_block_matches_expm(ring3_heat):
+    K, f, lat = ring3_heat
+    stats = {}
+    times = [0.2, 0.5, 1.0, 2.0]                  # the heat experiment's t_grid
+    got = semigroup_apply(K, f, times, stats=stats)
+    blk = _invariant_block(K.matrix, vec(f))
+    assert stats["block"] == blk.size < stats["dim"] == lat.dim ** 2
+    assert 1 < stats["krylov_steps"] and stats["last_correction"] <= 1e-10
+    out = np.ones(lat.dim ** 2, dtype=bool)
+    out[blk] = False
+    for t, g in zip(times, got):
+        dense = expm(-t * K.matrix.toarray()) @ vec(f)
+        # relative to the start vector: KRYLOV_TOL bounds the correction on
+        # the scale of |H vec(f)|, and the result decays below it with t
+        assert np.linalg.norm(vec(g) - dense) <= 1e-9 * np.linalg.norm(vec(f))
+        assert np.all(vec(g)[out] == 0.0)
+
+
+def test_invariant_block_counts_imaginary_entries():
+    # two 2x2 blocks; a purely imaginary entry joins coordinates 1 and 2
+    K = sp.csr_matrix(np.array([[1, 1, 0, 0], [1, 1, 1j, 0],
+                                [0, 0, 2, 1], [0, 0, 1, 2]], dtype=complex))
+    v = np.array([1.0, 0, 0, 0])
+    assert _invariant_block(K, v).tolist() == [0, 1, 2, 3]
+    K[1, 2] = 0
+    K.eliminate_zeros()
+    assert _invariant_block(K, v).tolist() == [0, 1]
 
 
 def test_rows_is_one_csr_of_row_major_flattenings(rng):
