@@ -202,7 +202,7 @@ def direction_energies(directions, metric: KmsMetric, kernel: AdmissibleKernel,
                        f, derivation=None) -> list[float]:
     """Per-direction terms of E(f) = <f, -L f> from the modular components
     (X_k, w_k), without assembling the D^2 x D^2 generator: for each block
-    (ops, C) of `dirichlet._eigen_blocks` the term sum_kl C_kl (V^dag V)_kl
+    (ops, _, C) of `dirichlet._eigen_blocks` the term sum_kl C_kl (V^dag V)_kl
     with V = H [vec delta_{X_k} f, ...] in the metric's frame H = G^(1/2),
     so (V^dag V)_kl = <delta_{X_k} f, delta_{X_l} f>.  `derivation(X, f)`
     returns delta_X f on the metric's lattice; the default is i [X, f].
@@ -211,7 +211,7 @@ def direction_energies(directions, metric: KmsMetric, kernel: AdmissibleKernel,
     out = []
     for direction in directions:
         total = 0.0
-        for ops, C in _eigen_blocks(direction, metric.state, kernel):
+        for ops, _, C in _eigen_blocks(direction, metric.state, kernel):
             V = metric.half(np.stack([vec(derivation(X, f)) for X in ops], axis=1))
             total += np.sum(C * (V.conj().T @ V)).real
         out.append(float(total))

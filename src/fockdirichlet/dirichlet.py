@@ -140,8 +140,8 @@ def assemble_generator(directions, metric: KmsMetric, kernel: AdmissibleKernel,
     """
     state = metric.state
     if path == "eigen":
-        feeds = [(*_eigen_triples(ops, state), C) for d in directions
-                 for ops, C in _eigen_blocks(d, state, kernel)]
+        feeds = [(*_eigen_triples(ops, adjoints, state), C) for d in directions
+                 for ops, adjoints, C in _eigen_blocks(d, state, kernel)]
     elif path == "quadrature":
         nodes, weights = kernel.time_grid()
         eta_vals = kernel.eta(nodes)
@@ -158,28 +158,33 @@ def assemble_generator(directions, metric: KmsMetric, kernel: AdmissibleKernel,
 
 def _eigen_blocks(direction: DerivationDirection, state: GibbsState,
                   kernel: AdmissibleKernel):
-    """[(ops, C)]: one block per nonzero weight, nu over the eigencomponents
-    X_k and mu over their adjoints, with C_kl = weight eta_hat((w_l - w_k) beta)
-    in the nu block.  The components of X* are the X_k* with frequencies
-    -w_k, so the mu block's table is the transpose of the same eta_hat table.
+    """[(ops, adjoints, C)]: one block per nonzero weight, nu over the
+    eigencomponents X_k and mu over their adjoints, with C_kl = weight
+    eta_hat((w_l - w_k) beta) in the nu block.  The components of X* are the
+    X_k* with frequencies -w_k, so the mu block's table is the transpose of
+    the same eta_hat table.  Each block's adjoints are the other block's
+    operators, so every X_k* is formed once.
     """
     comps = _eigen_components(direction, state)
     if not comps:
         return []
+    ops = [c for c, _ in comps]
+    adjoints = [c.dag() for c in ops]
     w = np.array([w for _, w in comps])
     eta = kernel.fourier((w[None, :] - w[:, None]) * state.beta)
-    return [(ops, weight * table) for weight, ops, table in (
-        (direction.nu, [c for c, _ in comps], eta),
-        (direction.mu, [c.dag() for c, _ in comps], eta.T)) if weight]
+    return [(x, x_adj, weight * table) for weight, x, x_adj, table in (
+        (direction.nu, ops, adjoints, eta),
+        (direction.mu, adjoints, ops, eta.T)) if weight]
 
 
-def _eigen_triples(ops, state: GibbsState):
-    """Stacks (Wm, Wp, Y) of eigencomponents.  The adjoint multipliers are
-    flows rather than the scalar form e^{-/+xi} X_k*, which keeps
-    delta*_{X_k} exact when a numerically decomposed component only
-    approximately clusters a frequency bucket."""
-    return (_rows([modular_flow(op.dag(), state, -0.5j).matrix for op in ops]),
-            _rows([modular_flow(op.dag(), state, 0.5j).matrix for op in ops]),
+def _eigen_triples(ops, adjoints, state: GibbsState):
+    """Stacks (Wm, Wp, Y) of eigencomponents X_k = ops[k], with the flows
+    taken of X_k* = adjoints[k].  The adjoint multipliers are flows rather
+    than the scalar form e^{-/+xi} X_k*, which keeps delta*_{X_k} exact when
+    a numerically decomposed component only approximately clusters a
+    frequency bucket."""
+    return (_rows([modular_flow(a, state, -0.5j).matrix for a in adjoints]),
+            _rows([modular_flow(a, state, 0.5j).matrix for a in adjoints]),
             _rows([op.matrix for op in ops]))
 
 

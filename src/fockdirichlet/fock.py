@@ -16,6 +16,7 @@ used to state those residuals, and `TruncationReport` records the defect.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -71,7 +72,7 @@ class LatticeConfig:
 
     @property
     def n_sites(self) -> int:
-        return int(np.prod(self.extents))
+        return int(math.prod(self.extents))
 
     @property
     def local_dim(self) -> int:
@@ -116,9 +117,13 @@ class LatticeConfig:
 
 
 def _prune(m: sp.spmatrix) -> sp.csr_matrix:
+    """m as CSR without its stored entries of modulus below PRUNE_TOL.  m is
+    never modified: a CSR m with nothing to drop comes back on its arrays."""
     m = sp.csr_matrix(m)
-    if m.nnz:
-        m.data[np.abs(m.data) < PRUNE_TOL] = 0.0
+    small = np.abs(m.data) < PRUNE_TOL
+    if small.any():
+        m = m.copy()
+        m.data[small] = 0.0
         m.eliminate_zeros()
     return m
 
@@ -213,15 +218,19 @@ def build_mode_ops(n_max: int):
     """Single-mode ladder matrices (A, A+, N) truncated at n_max.
 
     A e_n = sqrt(n) e_{n-1}; A+ e_n = sqrt(n+1) e_{n+1} for n < n_max and
-    A+ e_{n_max} = 0; N = A+ A = diag(0..n_max).
+    A+ e_{n_max} = 0; N = A+ A = diag(0..n_max).  Each is a complex CSR,
+    built from its arrays, that stores only its nonzero entries.
     """
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     d = n_max + 1
-    v = np.sqrt(np.arange(1, d))
-    A = sp.diags(v, 1, shape=(d, d), dtype=complex).tocsr()
-    Adag = sp.diags(v, -1, shape=(d, d), dtype=complex).tocsr()
-    N = sp.diags(np.arange(d, dtype=float), 0, dtype=complex).tocsr()
+    # A holds rows 0..d-2 at columns 1..d-1; A+ and N hold rows 1..d-1
+    k = np.arange(1, d)
+    upper = np.minimum(np.arange(d + 1), d - 1)
+    lower = np.maximum(np.arange(d + 1) - 1, 0)
+    A = sp.csr_matrix((np.sqrt(k).astype(complex), k, upper), shape=(d, d))
+    Adag = sp.csr_matrix((np.sqrt(k).astype(complex), k - 1, lower), shape=(d, d))
+    N = sp.csr_matrix((k.astype(complex), k, lower), shape=(d, d))
     return A, Adag, N
 
 
@@ -254,8 +263,11 @@ def identity_operator(lattice: LatticeConfig) -> LatticeOperator:
 
 
 def embed(op, site: int, lattice: LatticeConfig, label: str = "") -> LatticeOperator:
-    """The single-mode operator `op` at site index `site`, extended by the
-    identity on all other modes: kron(I_{d^site}, op, I_{d^(n-site-1)})."""
+    """The single-mode operator `op` (anything `sp.csr_matrix` accepts; not
+    modified) at site index `site`, extended by the identity on all other
+    modes: kron(I_{d^site}, op, I_{d^(n-site-1)}).  Its CSR arrays are those
+    of `_prune` of the two `sp.kron` products, built by index arithmetic
+    from the arrays of op in canonical format."""
     d, n = lattice.local_dim, lattice.n_sites
     if not 0 <= site < n:
         raise ValueError(f"site index {site} outside lattice")
@@ -263,9 +275,24 @@ def embed(op, site: int, lattice: LatticeConfig, label: str = "") -> LatticeOper
     if op.shape != (d, d):
         raise ValueError(f"operator dimension {op.shape} does not match "
                          f"local dimension {d}")
-    out = sp.kron(sp.kron(sp.identity(d ** site, format="csr"), op, format="csr"),
-                  sp.identity(d ** (n - site - 1), format="csr"), format="csr")
-    return LatticeOperator(_prune(out), frozenset({site}), lattice, label)
+    if not op.has_canonical_format:
+        op = op.copy()
+        op.sum_duplicates()
+    op = _prune(op)
+    R = d ** (n - site - 1)
+    # kron(op, I_R): row (i, k) repeats the entries of row i, for each k
+    row = np.repeat(np.arange(d), R)
+    cnt = np.diff(op.indptr)[row]
+    end = np.cumsum(cnt)
+    ent = np.arange(end[-1]) + np.repeat(op.indptr[row] - end + cnt, cnt)
+    cols = op.indices[ent] * R + np.repeat(np.tile(np.arange(R), d), cnt)
+    # kron(I_L, .): the block above once per l, shifted by l d R columns
+    shift = np.arange(d ** site)[:, None]
+    out = sp.csr_matrix((np.tile(op.data[ent], d ** site),
+                         (shift * (d * R) + cols).ravel(),
+                         np.append(0, (shift * end[-1] + end).ravel())),
+                        shape=(lattice.dim, lattice.dim))
+    return LatticeOperator(out, frozenset({site}), lattice, label)
 
 
 def site_operator(lattice: LatticeConfig, kind: str, site: int) -> LatticeOperator:

@@ -126,11 +126,10 @@ def gibbs_state(H: LatticeOperator, beta: float) -> GibbsState:
         raise ValueError(f"beta must be positive, got {beta}")
     m = H.matrix
     scale = max(_fro(m), 1.0)
-    if _fro(m - m.conj().T) > HERM_TOL * scale:
+    anti_hermitian, off_diagonal = _hermiticity_defects(m)
+    if anti_hermitian > HERM_TOL * scale:
         raise ValueError("Hamiltonian is not Hermitian within tolerance")
-
-    off = m - sp.diags(m.diagonal())
-    if off.nnz == 0 or _fro(off) <= 1e-14 * scale:
+    if off_diagonal <= 1e-14 * scale:
         energies = np.real(m.diagonal().copy())
         eigvecs = None
     else:
@@ -139,6 +138,22 @@ def gibbs_state(H: LatticeOperator, beta: float) -> GibbsState:
     return GibbsState(lattice=H.lattice, beta=beta,
                       energies=np.asarray(energies, float), eigvecs=eigvecs,
                       log_Z=log_Z)
+
+
+def _hermiticity_defects(m: sp.csr_matrix) -> tuple[float, float]:
+    """Frobenius norms of m - m^dag and of m's off-diagonal part, from the
+    arrays of a canonical CSR m (as `_fro` leaves it).  Each stored m[i, j]
+    finds its mirror m[j, i] by binary search in the sorted keys i D + j;
+    one with no stored mirror also counts for the absent (j, i)."""
+    D = m.shape[0]
+    rows = np.repeat(np.arange(D), np.diff(m.indptr))
+    keys, mirror = rows * D + m.indices, m.indices * D + rows
+    pos = np.minimum(np.searchsorted(keys, mirror), keys.size - 1)
+    found = keys[pos] == mirror
+    diff = m.data - np.where(found, m.data[pos], 0.0).conj()
+    lone = m.data[~found]
+    return (float(np.sqrt(np.vdot(diff, diff).real + np.vdot(lone, lone).real)),
+            float(np.linalg.norm(m.data[rows != m.indices])))
 
 
 @dataclass
@@ -245,9 +260,9 @@ def modular_flows(X: LatticeOperator, state: GibbsState, zs) -> sp.csr_matrix:
                 "exceeds 1e12 after powering", ConditionWarning, stacklevel=2)
     u = np.exp(logu)
     if state.diagonal:
-        coo = Xm.tocoo()
-        data = coo.data * u[:, coo.row] / u[:, coo.col]
-        cols = np.broadcast_to(coo.row * D + coo.col, data.shape)
+        rows = np.repeat(np.arange(D), np.diff(Xm.indptr))
+        data = Xm.data * u[:, rows] / u[:, Xm.indices]
+        cols = np.broadcast_to(rows * D + Xm.indices, data.shape)
     else:
         Xe = state.to_eigenbasis(Xm)
         V = state.eigvecs
@@ -266,9 +281,16 @@ def modular_flows(X: LatticeOperator, state: GibbsState, zs) -> sp.csr_matrix:
 
 def modular_flow(X: LatticeOperator, state: GibbsState, z: complex) -> LatticeOperator:
     """alpha_z(X) = rho^(iz) X rho^(-iz), guarded on the imaginary strip:
-    the one-row case of `modular_flows`.  Its support is the whole lattice."""
+    the one-row case of `modular_flows`, read as a D x D CSR in canonical
+    format (flat index c is entry (c // D, c mod D)).  Its support is the
+    whole lattice."""
     lattice = X.lattice
-    out = modular_flows(X, state, [z]).reshape((state.dim, state.dim))
+    D = state.dim
+    flat = modular_flows(X, state, [z])
+    out = sp.csr_matrix((flat.data, flat.indices % D,
+                         np.searchsorted(flat.indices, D * np.arange(D + 1))),
+                        shape=(D, D))
+    out.sum_duplicates()
     return LatticeOperator(out, frozenset(range(lattice.n_sites)), lattice,
                            f"alpha_{z}({X.label})")
 

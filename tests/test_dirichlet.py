@@ -527,6 +527,28 @@ def test_rows_is_one_csr_of_row_major_flattenings(rng):
         assert np.array_equal(getattr(got, attr), getattr(ref, attr))
 
 
+def test_eigen_triples_are_per_component_flows(kernel):
+    # the stacks built from each block's adjoints equal those of
+    # modular_flow(X_k*, -/+ i/2) with X_k* formed afresh, array for array,
+    # in the nu and the mu block of every direction of the z_power 3-ring
+    from fockdirichlet.dirichlet import _eigen_blocks, _eigen_triples, _rows
+    lat = LatticeConfig(1, 3, "cycle", 1.0, 2)
+    built = build_model(ModelSpec("z_power", lat, params={"n": 1, "m": 1}))
+    st = built.state
+    for d in built.directions:
+        blocks = _eigen_blocks(d, st, kernel)
+        assert len(blocks) == 2 and len(blocks[0][0]) == 2
+        for ops, adjoints, _ in blocks:
+            got = _eigen_triples(ops, adjoints, st)
+            want = (_rows([modular_flow(op.dag(), st, -0.5j).matrix for op in ops]),
+                    _rows([modular_flow(op.dag(), st, 0.5j).matrix for op in ops]),
+                    _rows([op.matrix for op in ops]))
+            for g, w in zip(got, want):
+                assert g.shape == w.shape
+                for attr in ("data", "indices", "indptr"):
+                    assert np.array_equal(getattr(g, attr), getattr(w, attr))
+
+
 # --------------------------------------------------------------------------
 # the shared assembly kernel
 # --------------------------------------------------------------------------

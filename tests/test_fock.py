@@ -5,7 +5,7 @@ import scipy.sparse as sp
 from fockdirichlet import (LatticeConfig, TruncationReport, build_mode_ops,
                            clean_projector, commutator, embed,
                            identity_operator, mollify, site_operator)
-from fockdirichlet.fock import _fro, compressed
+from fockdirichlet.fock import PRUNE_TOL, _fro, _prune, compressed
 
 
 def test_mode_ops_entries():
@@ -55,6 +55,67 @@ def test_embed_single_site_kron():
         want = np.kron(np.kron(np.eye(3 ** s), A.toarray()), np.eye(3 ** (2 - s)))
         assert np.array_equal(full.toarray(), want)
         assert full.support == frozenset({s}) and full.label == f"A_{s}"
+
+
+def _arrays(m):
+    return m.data.copy(), m.indices.copy(), m.indptr.copy()
+
+
+def _same_arrays(a, b):
+    return all(np.array_equal(x, y) for x, y in zip(a, b))
+
+
+def test_prune_leaves_its_argument_unchanged():
+    m = sp.csr_matrix(np.array([[1.0, 1e-17, 0.0], [0.0, 2.0, 0.0],
+                                [3.0, 0.0, 0.0]]))
+    before = _arrays(m)
+    out = _prune(m)
+    assert _same_arrays(_arrays(m), before) and m.nnz == 4
+    want = np.array([[1.0, 0, 0], [0, 2.0, 0], [3.0, 0, 0]])
+    assert out.nnz == 3 and np.array_equal(out.toarray(), want)
+    assert np.array_equal(out.indptr, [0, 1, 2, 3])
+    # nothing below PRUNE_TOL: the same arrays come back
+    assert np.shares_memory(_prune(out).data, out.data)
+
+
+def _mollified(n_max, adjoint):
+    A, _, _ = build_mode_ops(n_max)
+    a = sp.diags(1.0 / (1.0 + 0.3 * np.sqrt(np.arange(n_max + 1)))) @ A
+    return a.conj().T if adjoint else a
+
+
+def _embed_inputs(n_max):
+    A, Adag, N = build_mode_ops(n_max)
+    d = n_max + 1
+    tiny = N.toarray() + np.diag(np.full(d - 1, 0.5), 1)
+    tiny[0, 0] = 0.1 * PRUNE_TOL        # dropped by embed
+    return {"a": A, "adag": Adag, "n": N,
+            "mollified_a": _mollified(n_max, False),
+            "mollified_adag": _mollified(n_max, True),
+            "below_prune_tol": sp.csr_matrix(tiny),
+            "dense": np.arange(d * d, dtype=float).reshape(d, d) - 2.0}
+
+
+@pytest.mark.parametrize("n_max", [1, 2, 3])
+@pytest.mark.parametrize("lattice", [(1, 3, "chain"), (2, 2, "box")],
+                         ids=["chain3", "box2x2"])
+def test_embed_equals_pruned_kron(lattice, n_max):
+    # embed builds the CSR arrays itself; they equal those of the pruned
+    # Kronecker product at every site, and the input is left as it was
+    lat = LatticeConfig(*lattice, 1.0, n_max)
+    d, n = lat.local_dim, lat.n_sites
+    for name, op in _embed_inputs(n_max).items():
+        before = op.copy()
+        for s in range(n):
+            got = embed(op, s, lat).matrix
+            want = _prune(sp.kron(sp.kron(sp.identity(d ** s), sp.csr_matrix(op)),
+                                  sp.identity(d ** (n - s - 1)), format="csr"))
+            assert got.shape == want.shape and got.dtype == want.dtype, name
+            assert _same_arrays(_arrays(got), _arrays(want)), (name, s)
+        if sp.issparse(op):
+            assert _same_arrays(_arrays(op), _arrays(before)), name
+        else:
+            assert np.array_equal(op, before), name
 
 
 def test_embedded_disjoint_supports_commute():

@@ -6,7 +6,9 @@ from fockdirichlet import (KmsMetric, LatticeConfig, LatticeOperator,
                            ModelSpec, build_model, commutator, eigen_detect,
                            gibbs_state, lp_norm, modular_flow, modular_flows,
                            site_operator)
-from fockdirichlet.state import ConditionWarning, _logsumexp, decompose_modular
+from fockdirichlet.fock import _fro
+from fockdirichlet.state import (ConditionWarning, _hermiticity_defects, _logsumexp,
+                                 decompose_modular)
 
 from conftest import random_op
 
@@ -46,6 +48,39 @@ def test_log_partition_of_a_dense_hamiltonian_is_scipy_logsumexp(rng):
     st = gibbs_state(R + R.dag(), 1.3)
     assert st.eigvecs is not None
     assert st.log_Z == float(logsumexp(-1.3 * st.energies))
+
+
+def test_tiny_off_diagonal_hamiltonian_takes_the_diagonal_path():
+    # off-diagonal entries up to 1e-14 of max(||H||_F, 1) in Frobenius norm
+    # leave the state diagonal; 1e-13 does not
+    lat = LatticeConfig(1, 1, "chain", 1.0, 4)
+    N = site_operator(lat, "n", 0)
+    scale = N.fro_norm()
+    for eps, diagonal in ((1e-15, True), (1e-13, False)):
+        off = sp.csr_matrix(([eps * scale] * 2, ([0, 1], [1, 0])), shape=(5, 5))
+        H = LatticeOperator(N.matrix + off, frozenset({0}), lat)
+        st = gibbs_state(H, 1.0)
+        assert st.diagonal == diagonal
+        assert np.allclose(np.sort(st.energies), np.arange(5), atol=1e-12)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_hermiticity_defects_are_the_sparse_norms(seed):
+    # entries with and without a stored mirror, and an explicit zero
+    rng = np.random.default_rng(seed)
+    r = sp.random(12, 12, density=0.3, random_state=rng, format="csr") * (1 + 2j)
+    m = (r + sp.triu(r, k=1).conj().T * 0.5).tocsr()
+    m.sum_duplicates()
+    m.data[m.nnz // 2] = 0.0
+    pattern = m.copy()
+    pattern.data[:] = 1.0
+    assert (pattern != pattern.T).nnz > 0
+    anti, off = _hermiticity_defects(m)
+    assert anti == pytest.approx(_fro(m - m.conj().T), rel=1e-14)
+    assert off == pytest.approx(_fro(m - sp.diags(m.diagonal())), rel=1e-14)
+    h = m + m.conj().T
+    h.sum_duplicates()
+    assert _hermiticity_defects(h)[0] == 0.0
 
 
 def test_infinite_temperature_limit():
@@ -252,6 +287,31 @@ def test_modular_flow_wrapper(single_mode, rng):
             dense = left @ X.toarray() @ right
             assert np.max(np.abs(row - modular_flow(X, state, z).toarray())) < 1e-14
             assert np.max(np.abs(row - dense)) < 1e-12
+
+
+@pytest.mark.parametrize("kind", ["z_power", "mean_field"])
+def test_modular_flow_is_dense_conjugation_in_canonical_format(kind, rng):
+    # rho^(iz) X rho^(-iz) on a diagonal and a non-diagonal two-site state,
+    # for an X whose rows store their columns out of order
+    state = _two_site_metric(kind).state
+    lat, D = state.lattice, state.dim
+    X = site_operator(lat, "a", 0).toarray() + 0.3 * random_op(rng, lat).toarray()
+    X[np.abs(X) < 0.35] = 0.0
+    csr = sp.csr_matrix(X)
+    order = np.concatenate([np.arange(lo, hi)[::-1] for lo, hi in
+                            zip(csr.indptr[:-1], csr.indptr[1:])])
+    shuffled = sp.csr_matrix((csr.data[order], csr.indices[order], csr.indptr),
+                             shape=(D, D))
+    assert not shuffled.has_sorted_indices
+    op = LatticeOperator(shuffled, frozenset({0, 1}), lat, "X")
+    for z in (0.0, 0.41, 0.5j, -0.5j, 0.7 - 0.3j):
+        left, right = (state.power(w) for w in (1j * z, -1j * z))
+        left, right = (p.toarray() if sp.issparse(p) else p for p in (left, right))
+        dense = left @ X @ right
+        got = modular_flow(op, state, z).matrix
+        assert np.max(np.abs(got.toarray() - dense)) < 1e-13 * max(1.0, np.abs(dense).max())
+        rows = np.repeat(np.arange(D), np.diff(got.indptr))
+        assert np.all(np.diff(rows * D + got.indices) > 0)
 
 
 def test_stacked_flow_guard_and_condition_warning():
