@@ -27,7 +27,7 @@ from .fock import (LatticeConfig, LatticeOperator, clean_projector, commutator,
                    identity_operator, mollify, site_operator)
 from .kernels import AdmissibleKernel
 from .models import PRODUCT_KINDS, ModelSpec, build_model
-from .state import KmsMetric, decompose_modular
+from .state import KmsMetric, _hermiticity_defects, decompose_modular
 
 # D^2 up to which eigh is used: the measured crossover with shift-invert,
 # the same on diagonal and non-diagonal states (1 BLAS thread): eigh wins at
@@ -336,6 +336,8 @@ def rayleigh_scaling(kind: str, test: str, sizes, *, n_max: int = 1,
             shapes = chain(length)
             if shapes.directions:
                 break
+        else:
+            raise ValueError(f"no {kind} direction on a chain of up to {length} sites")
         v1 = shapes.variance([0])
     energies, variances, ratios, bcounts = [], [], [], []
     for n in sizes:
@@ -615,7 +617,7 @@ def lieb_robinson_probe(chain_length: int = 5, n_max: int = 2, *,
         phi.label = f"Phi_{j},{j + 1}"
         bonds.append(phi)
     U = sum(bonds[1:], bonds[0])
-    if not U.is_hermitian(1e-11):
+    if _hermiticity_defects(U.matrix)[0] > 1e-11 * max(U.fro_norm(), 1.0):
         raise ValueError("interaction is not Hermitian")
     n_tot = lattice.occupations().sum(axis=1)
     sectors = [np.flatnonzero(n_tot == n) for n in range(n_tot.max() + 1)]

@@ -56,8 +56,7 @@ class KrylovError(RuntimeError):
 def unvec(v: np.ndarray, lattice: LatticeConfig) -> LatticeOperator:
     D = lattice.dim
     m = np.asarray(v).reshape(D, D, order="F")
-    return LatticeOperator(_prune(sp.csr_matrix(m)),
-                           frozenset(range(lattice.n_sites)), lattice)
+    return LatticeOperator(_prune(m), frozenset(range(lattice.n_sites)), lattice)
 
 
 def left_mult(X) -> sp.csr_matrix:

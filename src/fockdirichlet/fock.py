@@ -118,8 +118,9 @@ class LatticeConfig:
 
 def _prune(m: sp.spmatrix) -> sp.csr_matrix:
     """m as CSR without its stored entries of modulus below PRUNE_TOL.  m is
-    never modified: a CSR m with nothing to drop comes back on its arrays."""
-    m = sp.csr_matrix(m)
+    never modified, and a CSR m with nothing to drop is returned itself."""
+    if not isinstance(m, sp.csr_matrix):
+        m = sp.csr_matrix(m)
     small = np.abs(m.data) < PRUNE_TOL
     if small.any():
         m = m.copy()
@@ -128,11 +129,19 @@ def _prune(m: sp.spmatrix) -> sp.csr_matrix:
     return m
 
 
-def _fro(m: sp.csr_matrix) -> float:
-    """Frobenius norm of a CSR or CSC matrix, as scipy.sparse.linalg.norm
-    computes it (duplicates summed in place, then the norm of `data`)."""
+def _canonical(m: sp.csr_matrix) -> sp.csr_matrix:
+    """m if its indices are sorted and unique, else a sorted, summed copy."""
+    if m.has_canonical_format:
+        return m
+    m = m.copy()
     m.sum_duplicates()
-    return float(np.linalg.norm(m.data))
+    return m
+
+
+def _fro(m: sp.csr_matrix) -> float:
+    """Frobenius norm of a CSR or CSC matrix, bit for bit as
+    scipy.sparse.linalg.norm: the norm of `_canonical(m).data`."""
+    return float(np.linalg.norm(_canonical(m).data))
 
 
 @dataclass
@@ -150,7 +159,8 @@ class LatticeOperator:
     label: str = ""
 
     def __post_init__(self):
-        self.matrix = sp.csr_matrix(self.matrix)
+        if not isinstance(self.matrix, sp.csr_matrix):
+            self.matrix = sp.csr_matrix(self.matrix)
         self.support = frozenset(self.support)
         if self.matrix.shape != (self.lattice.dim, self.lattice.dim):
             raise ValueError("matrix shape does not match lattice dimension")
@@ -168,10 +178,6 @@ class LatticeOperator:
 
     def fro_norm(self) -> float:
         return _fro(self.matrix)
-
-    def is_hermitian(self, tol: float = 1e-12) -> bool:
-        d = self.matrix - self.matrix.conj().T
-        return _fro(d) <= tol * max(_fro(self.matrix), 1.0)
 
     def _wrap(self, m, support, label):
         return LatticeOperator(_prune(m), support, self.lattice, label)
@@ -271,14 +277,11 @@ def embed(op, site: int, lattice: LatticeConfig, label: str = "") -> LatticeOper
     d, n = lattice.local_dim, lattice.n_sites
     if not 0 <= site < n:
         raise ValueError(f"site index {site} outside lattice")
-    op = sp.csr_matrix(op)
+    op = op if isinstance(op, sp.csr_matrix) else sp.csr_matrix(op)
     if op.shape != (d, d):
         raise ValueError(f"operator dimension {op.shape} does not match "
                          f"local dimension {d}")
-    if not op.has_canonical_format:
-        op = op.copy()
-        op.sum_duplicates()
-    op = _prune(op)
+    op = _prune(_canonical(op))
     R = d ** (n - site - 1)
     # kron(op, I_R): row (i, k) repeats the entries of row i, for each k
     row = np.repeat(np.arange(d), R)

@@ -35,9 +35,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dirichlet import DerivationDirection
-from .fock import (LatticeConfig, LatticeOperator, build_mode_ops, clean_projector,
-                   commutator, compressed, embed, identity_operator, site_operator,
-                   total_sector_projector)
+from .fock import (LatticeConfig, LatticeOperator, clean_projector, commutator,
+                   compressed, identity_operator, site_operator, total_sector_projector)
 from .state import GibbsState, KmsMetric, gibbs_state, modular_flow
 
 # each kind's params and their defaults; a None default is derived from
@@ -112,6 +111,8 @@ class ModelSpec:
             if max(n, m) > self.lattice.n_max:
                 raise ValueError(f"{kind} powers exceed the cutoff: "
                                  f"n={n}, m={m}, n_max={self.lattice.n_max}")
+        if kind == "zjk_quadratic" and not self.lattice.neighbor_pairs():
+            raise ValueError("zjk_quadratic requires a lattice with a neighbour pair")
         if kind == "g_model" and complex(p["kappa"]) == complex(p["xi"]) == 0:
             raise ValueError("g_model requires (kappa, xi) != 0")
         if kind == "invariant_aij" and not (p["sites_i"] and p["sites_j"]):
@@ -176,11 +177,8 @@ def _ladder(lattice: LatticeConfig):
 
 
 def _number_hamiltonian(lattice: LatticeConfig) -> LatticeOperator:
-    A, Adag, N = build_mode_ops(lattice.n_max)
-    out = embed(N, 0, lattice, "N_0")
-    for s in range(1, lattice.n_sites):
-        out = out + embed(N, s, lattice, f"N_{s}")
-    return out
+    N = [site_operator(lattice, "n", s) for s in range(lattice.n_sites)]
+    return sum(N[1:], N[0])
 
 
 def _pow(op: LatticeOperator, k: int) -> LatticeOperator:
@@ -234,12 +232,10 @@ def build_model(spec: ModelSpec) -> BuiltModel:
         for shift in _shifts(lattice, max(len(p["kappa"]), len(p["xi"]))):
             Zk, Zx = _z_pair(a, p, shift, lattice)
             if kind == "z_field":
-                if spec.nu:
-                    directions.append(DerivationDirection(Zk, spec.nu, 0.0))
-                    orbits.append([(Zk, 1.0)])
-                if spec.mu:
-                    directions.append(DerivationDirection(Zx, 0.0, spec.mu))
-                    orbits.append([(Zx, 1.0)])
+                for Z, nu, mu in ((Zk, spec.nu, 0.0), (Zx, 0.0, spec.mu)):
+                    if nu or mu:
+                        directions.append(DerivationDirection(Z, nu, mu, [(Z, 1.0)]))
+                        orbits.append(directions[-1].components)
             else:
                 Y = Zk - Zx.dag()
                 Y.label = f"Y@{shift}"

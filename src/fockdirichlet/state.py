@@ -25,7 +25,7 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 
-from .fock import PRUNE_TOL, LatticeConfig, LatticeOperator, _fro, _prune
+from .fock import PRUNE_TOL, LatticeConfig, LatticeOperator, _canonical, _fro, _prune
 
 # |Im z| guard for modular flow
 DEFAULT_GUARD = 1.0
@@ -117,14 +117,14 @@ def _logsumexp(a: np.ndarray) -> float:
 
 
 def gibbs_state(H: LatticeOperator, beta: float) -> GibbsState:
-    """Build the Gibbs state of a Hermitian lattice Hamiltonian.
-
-    The partition constant is handled in the shifted log domain, so extreme
-    beta * spectrum products do not overflow.
+    """Build the Gibbs state of a Hermitian lattice Hamiltonian, read from
+    `_canonical(H.matrix)`, so H is not modified.  The partition constant is
+    handled in the shifted log domain, so extreme beta * spectrum products do
+    not overflow.
     """
     if beta <= 0:
         raise ValueError(f"beta must be positive, got {beta}")
-    m = H.matrix
+    m = _canonical(H.matrix)
     scale = max(_fro(m), 1.0)
     anti_hermitian, off_diagonal = _hermiticity_defects(m)
     if anti_hermitian > HERM_TOL * scale:
@@ -142,9 +142,10 @@ def gibbs_state(H: LatticeOperator, beta: float) -> GibbsState:
 
 def _hermiticity_defects(m: sp.csr_matrix) -> tuple[float, float]:
     """Frobenius norms of m - m^dag and of m's off-diagonal part, from the
-    arrays of a canonical CSR m (as `_fro` leaves it).  Each stored m[i, j]
-    finds its mirror m[j, i] by binary search in the sorted keys i D + j;
-    one with no stored mirror also counts for the absent (j, i)."""
+    arrays of `_canonical(m)` (m is not modified).  Each stored m[i, j] finds
+    its mirror m[j, i] by binary search in the sorted keys i D + j; one with
+    no stored mirror also counts for the absent (j, i)."""
+    m = _canonical(m)
     D = m.shape[0]
     rows = np.repeat(np.arange(D), np.diff(m.indptr))
     keys, mirror = rows * D + m.indices, m.indices * D + rows
@@ -358,8 +359,7 @@ def decompose_modular(X: LatticeOperator, state: GibbsState, *,
         idxs = np.asarray(idxs)
         m = sp.csr_matrix((Xe.data[idxs], (Xe.row[idxs], Xe.col[idxs])),
                           shape=Xe.shape)
-        m_full = sp.csr_matrix(state.from_eigenbasis(m.toarray())) \
-            if not state.diagonal else m
+        m_full = m if state.diagonal else state.from_eigenbasis(m.toarray())
         comps.append((LatticeOperator(_prune(m_full), support, lattice,
                                       f"{X.label}[w={w:.3g}]"), w))
     return comps

@@ -257,7 +257,7 @@ def test_console_entry_point(tmp_path):
 
 
 HEAVY_MODULES = ("scipy.integrate", "scipy.optimize", "scipy.special",
-                 "scipy.linalg", "scipy.sparse.linalg",
+                 "scipy.linalg", "scipy.sparse.linalg", "scipy.sparse.csgraph",
                  "concurrent.futures.process")
 
 IMPORT_PROBE = """\
@@ -502,6 +502,11 @@ def _model(kind="z_power", n_max=2, **params):
      "params": {"cross_check_n_max": 1}},
     {"experiment": "heat", "model": _model(), "params": {"t_grid": [-1.0]}},
     {"experiment": "scaling", "model": None, "params": {"sizes": [0, 3, 4]}},
+    {"experiment": "scaling", "model": None, "params": {
+        "kind": "invariant_aij", "sizes": [3, 4],
+        "model_params": {"sites_i": [0], "sites_j": [9]}}},
+    {"experiment": "verify", "model": {**_model("zjk_quadratic"), "lattice": {
+        "dims": 1, "extent": 1, "geometry": "chain", "n_max": 2}}},
     # experiment params of the wrong type
     {"experiment": "bogolubov", "model": None, "params": {"s": "x"}},
     {"experiment": "scaling", "model": None, "params": {"sizes": "abc"}},
@@ -521,7 +526,8 @@ def _model(kind="z_power", n_max=2, **params):
         "heat-one-site", "verify-aij-box", "heat-extent-length-not-dims",
         "gap-zero-weights", "lieb-robinson-chain3", "lieb-robinson-nmax0",
         "decay-length2", "decay-cross-check-nmax1", "heat-negative-time",
-        "scaling-size0", "bogolubov-string-s", "scaling-string-sizes",
+        "scaling-size0", "scaling-aij-no-direction", "verify-zjk-one-site",
+        "bogolubov-string-s", "scaling-string-sizes",
         "lieb-robinson-float-chain-length", "scaling-float-sizes",
         "heat-float-lattice-nmax"])
 def test_config_the_run_cannot_use_exits_2(tmp_path, capsys, overrides):

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from fockdirichlet import (LatticeConfig, TruncationReport, build_mode_ops,
-                           clean_projector, commutator, embed,
+from fockdirichlet import (LatticeConfig, LatticeOperator, TruncationReport,
+                           build_mode_ops, clean_projector, commutator, embed,
                            identity_operator, mollify, site_operator)
-from fockdirichlet.fock import PRUNE_TOL, _fro, _prune, compressed
+from fockdirichlet.fock import PRUNE_TOL, _canonical, _fro, _prune, compressed
 
 
 def test_mode_ops_entries():
@@ -74,8 +74,26 @@ def test_prune_leaves_its_argument_unchanged():
     want = np.array([[1.0, 0, 0], [0, 2.0, 0], [3.0, 0, 0]])
     assert out.nnz == 3 and np.array_equal(out.toarray(), want)
     assert np.array_equal(out.indptr, [0, 1, 2, 3])
-    # nothing below PRUNE_TOL: the same arrays come back
-    assert np.shares_memory(_prune(out).data, out.data)
+    # nothing below PRUNE_TOL: the same matrix comes back
+    assert _prune(out) is out
+
+
+def test_operator_keeps_the_csr_it_is_given():
+    lat = LatticeConfig(1, 2, "chain", 1.0, 1)
+    m = site_operator(lat, "a", 0).matrix
+    assert LatticeOperator(m, {0}, lat).matrix is m
+    dense = LatticeOperator(m.toarray(), {0}, lat).matrix
+    assert isinstance(dense, sp.csr_matrix) and (dense != m).nnz == 0
+
+
+def test_canonical_returns_a_canonical_matrix_itself_and_copies_the_rest():
+    m = _csr_with_duplicates()
+    before = _arrays(m)
+    c = _canonical(m)
+    assert c is not m and _same_arrays(_arrays(m), before)
+    assert c.has_canonical_format and np.array_equal(c.toarray(), m.toarray())
+    assert np.array_equal(c.indices, [0, 2, 1, 1]) and c.data[1] == -1.5 - 2j
+    assert _canonical(c) is c
 
 
 def _mollified(n_max, adjoint):
@@ -222,5 +240,7 @@ def _csr_with_duplicates():
 def test_fro_is_scipy_sparse_norm_bit_for_bit(make):
     from scipy.sparse.linalg import norm
     m = make()
+    before = _arrays(m)
     assert _fro(m) == float(norm(make()))
+    assert _same_arrays(_arrays(m), before)
     assert _fro(m) == float(norm(m))

@@ -159,6 +159,23 @@ def test_orbit_reconstruction_product_models():
             assert (recon - flowed).fro_norm() < 1e-10, spec.kind
 
 
+@pytest.mark.parametrize("lattice, params, nu, mu", [
+    (LatticeConfig(1, 3, "cycle", 1.0, 2), {"kappa": [1, 0.5]}, 1.0, 1.0),
+    (LatticeConfig(1, 3, "chain", 1.0, 2),
+     {"kappa": [1, -0.3j], "xi": [0.4, 1]}, 0.7, 1.3)], ids=["cycle", "chain"])
+def test_z_field_components_give_the_decomposed_generator(lattice, params, nu, mu):
+    # each z_field direction carries its one component (Z, 1); the generator
+    # assembled from it is the one of the numerical decomposition, bit for bit
+    built = build_model(ModelSpec("z_field", lattice, nu=nu, mu=mu, params=params))
+    for d in built.directions:
+        (op, w), = d.components
+        assert op is d.X and w == 1.0
+    bare = [replace(d, components=None) for d in built.directions]
+    K = assemble_generator(built.directions, built.metric, AdmissibleKernel())
+    K0 = assemble_generator(bare, built.metric, AdmissibleKernel())
+    assert abs(K.matrix - K0.matrix).max() == 0.0
+
+
 def test_y_power_orbit_components():
     # alpha_t(Y) = e^{i beta t} A_j - e^{-2 i beta t} A_k+^2
     lat = LatticeConfig(1, 2, "chain", 1.0, 3)

@@ -83,6 +83,46 @@ def test_hermiticity_defects_are_the_sparse_norms(seed):
     assert _hermiticity_defects(h)[0] == 0.0
 
 
+def _arrays(m):
+    return [a.copy() for a in (m.data, m.indices, m.indptr)]
+
+
+def _unchanged(m, before):
+    return all(np.array_equal(a, b) for a, b in zip(_arrays(m), before))
+
+
+def test_norms_and_gibbs_state_leave_the_operator_unsorted():
+    # H = X*X on the 3-site mean-field chain: scipy's product leaves its
+    # column indices unsorted, and reading H must not sort them
+    lat = LatticeConfig(1, 3, "chain", 1.0, 2)
+    X = sum((site_operator(lat, "a", s) for s in range(1, 3)),
+            site_operator(lat, "a", 0)) / np.sqrt(3)
+    H = X.dag() @ X
+    before = _arrays(H.matrix)
+    assert not H.matrix.copy().has_canonical_format
+    for read in (H.fro_norm, lambda: gibbs_state(H, 1.0),
+                 lambda: _hermiticity_defects(H.matrix)):
+        read()
+        assert _unchanged(H.matrix, before)
+    assert gibbs_state(H, 1.0).eigvecs is not None
+
+
+def test_hermiticity_defects_of_a_non_canonical_csr():
+    # duplicates at (0, 1) and (2, 2), columns out of order in every row
+    data = np.array([2.0, 0.5 + 1j, 0.25 - 1j, 3.0, 0.5 - 2j, 1.0, 1e-3, 4.0])
+    indices = np.array([1, 0, 1, 1, 0, 2, 2, 0])
+    indptr = np.array([0, 3, 5, 8])
+    m = sp.csr_matrix((data, indices, indptr), shape=(3, 3))
+    assert not m.has_canonical_format
+    before = _arrays(m)
+    got = _hermiticity_defects(m)
+    assert _unchanged(m, before)
+    c = m.copy()
+    c.sum_duplicates()
+    assert got == _hermiticity_defects(c)
+    assert got[0] == pytest.approx(_fro(c - c.conj().T), rel=1e-14)
+
+
 def test_infinite_temperature_limit():
     lat = LatticeConfig(1, 1, "chain", 1.0, 3)
     st = gibbs_state(site_operator(lat, "n", 0), 1e-9)
