@@ -26,7 +26,7 @@ from .dirichlet import (Superoperator, _eigen_blocks, assemble_generator,
 from .fock import (LatticeConfig, LatticeOperator, clean_projector, commutator,
                    identity_operator, mollify, site_operator)
 from .kernels import AdmissibleKernel
-from .models import PRODUCT_KINDS, ModelSpec, build_model
+from .models import PRODUCT_KINDS, ModelSpec, build_model, modular_orbit
 from .state import KmsMetric, _hermiticity_defects, decompose_modular
 
 # D^2 up to which eigh is used: the measured crossover with shift-invert,
@@ -263,9 +263,11 @@ class _ChainForms:
         self.eval, work = (LatticeConfig(1, n_sites, "chain", 1.0, levels)
                            for levels in (n_max + SCALING_MARGIN, n_max))
         built = build_model(ModelSpec(kind, self.eval, **model))
-        for d, orbit in zip(built.directions, built.orbits):
-            if d.components is None:
-                d.components = orbit or decompose_modular(
+        for i, d in enumerate(built.directions):
+            if kind == "mean_field":
+                d.components = modular_orbit(built, i).components
+            elif d.components is None:
+                d.components = decompose_modular(
                     d.X, built.state, max_components=256)
         self.directions = built.directions
         self.metric = build_model(ModelSpec(kind, work, **model)).metric

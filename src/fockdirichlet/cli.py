@@ -111,7 +111,7 @@ def _superoperator_bytes(n_max, spec, p):
 
 def _verify(n_max, spec, p, kernel, seed):
     built = _directed(spec)
-    rep = models.verify_algebra(spec)
+    rep = models.verify_algebra(built)
     Ke = dirichlet.assemble_generator(built.directions, built.metric, kernel,
                                       path="eigen", seed=seed)
     Kq = dirichlet.assemble_generator(built.directions, built.metric, kernel,

@@ -59,13 +59,13 @@ def unvec(v: np.ndarray, lattice: LatticeConfig) -> LatticeOperator:
     return LatticeOperator(_prune(m), frozenset(range(lattice.n_sites)), lattice)
 
 
-def left_mult(X) -> sp.csr_matrix:
-    m = X.matrix if isinstance(X, LatticeOperator) else sp.csr_matrix(X)
+def left_mult(X: LatticeOperator) -> sp.csr_matrix:
+    m = X.matrix
     return sp.kron(sp.identity(m.shape[0], format="csr"), m, format="csr")
 
 
-def right_mult(X) -> sp.csr_matrix:
-    m = X.matrix if isinstance(X, LatticeOperator) else sp.csr_matrix(X)
+def right_mult(X: LatticeOperator) -> sp.csr_matrix:
+    m = X.matrix
     return sp.kron(m.T, sp.identity(m.shape[0], format="csr"), format="csr")
 
 

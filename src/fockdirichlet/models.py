@@ -47,8 +47,7 @@ KINDS = {
     "z_field": {"kappa": (1.0,), "xi": None},
     "zjk_quadratic": {"kappa": 1.0, "eps": 1.0, "edges": "ordered"},
     "y_field": {"kappa": (1.0,), "xi": None},
-    "w_ops": {"n": 1, "m": 1, "selfadjoint": False, "ergodic_fix": False,
-              "edges": None},
+    "w_ops": {"n": 1, "m": 1, "selfadjoint": False, "edges": None},
     "z_power": {"n": 1, "m": 1, "edges": "ordered", "half": False},
     "y_power": {"n": 1, "m": 1, "edges": "ordered", "half": False},
     "g_model": {"kappa": np.sqrt(2), "xi": 1.0},
@@ -100,10 +99,11 @@ class ModelSpec:
             if not (isinstance(p["eps"], numbers.Real) and 0.0 <= p["eps"] <= 1.0):
                 raise ValueError("mean_field_n requires eps in [0, 1]")
         if kind in ("z_field", "y_field"):
-            if not len(p["kappa"]):
-                raise ValueError(f"{kind} requires a nonempty coefficient sequence")
-            if max(abs(complex(c)) for c in p["kappa"]) == 0:
-                raise ValueError(f"{kind} requires a nonzero coefficient sequence")
+            for key in ("kappa", "xi"):
+                if not len(p[key]):
+                    raise ValueError(f"{kind} requires a nonempty {key} sequence")
+                if max(abs(complex(c)) for c in p[key]) == 0:
+                    raise ValueError(f"{kind} requires a nonzero {key} sequence")
         if kind in ("w_ops", "z_power", "y_power"):
             n, m = p["n"], p["m"]
             if min(n, m) < 1:
@@ -158,16 +158,14 @@ def _param_type(kind: str, key: str, default, n_sites: int):
 
 @dataclass
 class BuiltModel:
+    """The one record of a model's operators: the Hamiltonian whose Gibbs
+    state is `state`, and the directions.  Product-kind directions carry
+    their exact modular components; `modular_orbit` forms the others."""
     spec: ModelSpec
     state: GibbsState
     metric: KmsMetric
     directions: list[DerivationDirection]
-    # analytic eigencomponent data per direction, or None: a list of
-    # (operator, frequency).  Exact on the full truncated space for the
-    # product-state kinds; for mean_field (alpha_t(X) = e^{i beta t} X) only
-    # on the sector of total occupation <= n_max, where the truncated X and
-    # X* X act as the untruncated ones (see `modular_orbit`)
-    orbits: list[list[tuple[LatticeOperator, float]] | None]
+    hamiltonian: LatticeOperator
     notes: tuple[str, ...] = ()
 
 
@@ -210,7 +208,7 @@ def build_model(spec: ModelSpec) -> BuiltModel:
     a, ad = _ladder(lattice)
     # the Hamiltonian of the state; the product kinds use the number one
     H = _number_hamiltonian(lattice) if kind in PRODUCT_KINDS else None
-    directions, orbits, notes = [], [], []
+    directions, notes = [], []
 
     if kind in ("mean_field", "mean_field_n"):
         X = _combination(a, 1.0 / np.sqrt(lattice.n_sites))
@@ -218,14 +216,12 @@ def build_model(spec: ModelSpec) -> BuiltModel:
         H = X.dag() @ X
         if kind == "mean_field":
             directions.append(DerivationDirection(X, spec.nu, spec.mu))
-            orbits.append([(X, 1.0)])
         else:
             n = p["n"]
             Xn = _combination([_pow(x, n) for x in a],
                               1.0 / lattice.n_sites ** p["eps"])
             Xn.label = f"X_{n}"
             directions.append(DerivationDirection(Xn, spec.nu, spec.mu))
-            orbits.append(None)
             notes.append("orbit via the coefficient recursion; see "
                          "modular_orbit")
     elif kind in ("z_field", "y_field"):
@@ -235,14 +231,12 @@ def build_model(spec: ModelSpec) -> BuiltModel:
                 for Z, nu, mu in ((Zk, spec.nu, 0.0), (Zx, 0.0, spec.mu)):
                     if nu or mu:
                         directions.append(DerivationDirection(Z, nu, mu, [(Z, 1.0)]))
-                        orbits.append(directions[-1].components)
             else:
                 Y = Zk - Zx.dag()
                 Y.label = f"Y@{shift}"
                 comps = [(Zk, 1.0), (Zx.dag() * (-1.0), -1.0)]
                 directions.append(DerivationDirection(Y, spec.nu, spec.mu,
                                                       components=comps))
-                orbits.append(comps)
     elif kind == "zjk_quadratic":
         kap, eps, edges = _edge_fields(spec)
         for (j, k) in edges:
@@ -251,7 +245,6 @@ def build_model(spec: ModelSpec) -> BuiltModel:
             term = Z.dag() @ Z
             H = term if H is None else H + term
             directions.append(DerivationDirection(Z, spec.nu, spec.mu))
-            orbits.append(None)
         notes.append(f"H sums {p['edges']} neighbour pairs")
     elif kind == "w_ops":
         n, m = p["n"], p["m"]
@@ -266,13 +259,6 @@ def build_model(spec: ModelSpec) -> BuiltModel:
                 comps = [(X, 0.0)] if m == n else comps + [(Wkj, float(n - m))]
             directions.append(DerivationDirection(X, spec.nu, spec.mu,
                                                   components=comps))
-            orbits.append(comps)
-            if p["ergodic_fix"] and p["selfadjoint"] and m == n:
-                V = (Wjk - Wjk.dag()) * 1j
-                V.label = f"V_{j},{k}"
-                directions.append(DerivationDirection(
-                    V, spec.nu, spec.mu, components=[(V, 0.0)]))
-                orbits.append([(V, 0.0)])
     elif kind in ("z_power", "y_power"):
         n, m = p["n"], p["m"]
         scale = 0.5 if p["half"] else 1.0
@@ -284,13 +270,11 @@ def build_model(spec: ModelSpec) -> BuiltModel:
             Z.label = f"{kind[0].upper()}_{j},{k}"
             directions.append(DerivationDirection(Z, spec.nu, spec.mu,
                                                   components=comps))
-            orbits.append(comps)
     elif kind == "g_model":
         for s in range(lattice.n_sites):
             _, G, Ns, R = _g_ops(a, ad, s, p)
             H = Ns if H is None else H + Ns
             directions.append(DerivationDirection(G, spec.nu, spec.mu))
-            orbits.append(None)
         notes.append(f"modular frequency of G is 2R = {2 * R:.6g} up to "
                      "truncation; eigen assembly decomposes numerically")
     elif kind == "invariant_aij":
@@ -300,11 +284,10 @@ def build_model(spec: ModelSpec) -> BuiltModel:
             op = _aij_operator(a, ad, I_sites, J_sites, shift, lattice)
             directions.append(DerivationDirection(op, spec.nu, spec.mu,
                                                   components=[(op, freq)]))
-            orbits.append([(op, freq)])
 
     state = gibbs_state(H, spec.beta)
     return BuiltModel(spec=spec, state=state, metric=KmsMetric(state),
-                      directions=directions, orbits=orbits, notes=tuple(notes))
+                      directions=directions, hamiltonian=H, notes=tuple(notes))
 
 
 def _edge_fields(spec: ModelSpec):
@@ -411,18 +394,14 @@ class AlgebraReport:
         return max((c.residual for c in self.checks), default=0.0)
 
 
-def _clean_norm(op: LatticeOperator, lattice: LatticeConfig, margin: int) -> float:
-    block = compressed(op, clean_projector(lattice, margin))
-    if block.size == 0:
-        return float("nan")
-    return float(np.linalg.norm(block, 2))
-
-
 def _check(name, lhs: LatticeOperator, rhs: LatticeOperator, lattice,
            margin: int, tol: float = 1e-10, note: str = "") -> IdentityCheck:
-    res = _clean_norm(lhs - rhs, lattice, margin)
-    return IdentityCheck(name=name, residual=res, tol=tol, margin=margin,
-                         note=note)
+    block = compressed(lhs - rhs, clean_projector(lattice, margin))
+    if block.size == 0:
+        raise ValueError(f"check {name!r} has margin {margin} and needs "
+                         f"n_max >= {margin}, got n_max {lattice.n_max}")
+    return IdentityCheck(name=name, residual=float(np.linalg.norm(block, 2)),
+                         tol=tol, margin=margin, note=note)
 
 
 def _power_ccr(lattice: LatticeConfig, site: int, n: int) -> LatticeOperator:
@@ -436,16 +415,19 @@ def _power_ccr(lattice: LatticeConfig, site: int, n: int) -> LatticeOperator:
     return rising - falling
 
 
-def verify_algebra(spec: ModelSpec) -> AlgebraReport:
-    """Exact-identity suite for one model; residuals are clean-subspace
-    spectral norms with the margin recorded per check."""
+def verify_algebra(built: BuiltModel) -> AlgebraReport:
+    """Exact-identity suite for one built model, read from its operators and
+    state; residuals are clean-subspace spectral norms with the margin
+    recorded per check.  A check whose margin leaves no clean level raises
+    ValueError."""
+    spec = built.spec
     lattice, kind, p = spec.lattice, spec.kind, spec.params
     a, ad = _ladder(lattice)
     Iop = identity_operator(lattice)
     checks: list[IdentityCheck] = []
 
     if kind == "mean_field":
-        X = _combination(a, 1.0 / np.sqrt(lattice.n_sites))
+        X = built.directions[0].X
         checks.append(_check("ccr_collective", commutator(X, X.dag()), Iop,
                              lattice, margin=1))
     elif kind == "mean_field_n":
@@ -461,13 +443,8 @@ def verify_algebra(spec: ModelSpec) -> AlgebraReport:
         checks.append(_check("z_ccr", commutator(Zk, Zx.dag()),
                              Iop * const, lattice, margin=1))
     elif kind == "zjk_quadratic":
-        built = build_model(spec)
-        H = None
-        for d in built.directions:
-            term = d.X.dag() @ d.X
-            H = term if H is None else H + term
         Ntot = _number_hamiltonian(lattice)
-        res = (commutator(H, Ntot)).fro_norm()
+        res = commutator(built.hamiltonian, Ntot).fro_norm()
         checks.append(IdentityCheck("number_conservation", float(res), 1e-10,
                                     margin=0,
                                     note="exact on the full truncated space"))
@@ -498,8 +475,7 @@ def verify_algebra(spec: ModelSpec) -> AlgebraReport:
                     note="sign-corrected four-term combination"))
         if n == m:
             Wjk = _pow(ad[0], n) @ _pow(a[min(1, lattice.n_sites - 1)], m)
-            state = gibbs_state(_number_hamiltonian(lattice), spec.beta)
-            flowed = modular_flow(Wjk, state, 0.7)
+            flowed = modular_flow(Wjk, built.state, 0.7)
             checks.append(IdentityCheck(
                 "modular_invariance", float((flowed - Wjk).fro_norm()), 1e-12,
                 margin=0, note="exact for equal powers"))
@@ -533,7 +509,6 @@ def verify_algebra(spec: ModelSpec) -> AlgebraReport:
         checks.append(_check("g_number", commutator(G, Nc), G * (2 * R),
                              lattice, margin=4))
     elif kind == "invariant_aij":
-        built = build_model(spec)
         X = built.directions[0].X
         if len(p["sites_i"]) == len(p["sites_j"]):
             flowed = modular_flow(X, built.state, 1.3)
@@ -551,23 +526,22 @@ def _delta(i, j) -> float:
 # mean-field power model: coefficient recursion
 # --------------------------------------------------------------------------
 
+def _recursion_matrix(n: int) -> np.ndarray:
+    """The integer T with c[k+1] = T c[k] (`mean_field_n_coefficients`)."""
+    return np.diag(-np.arange(n + 1)) + np.diag(-np.arange(n, 0, -1), -1)
+
+
 def mean_field_n_coefficients(n: int, k_max: int) -> list[dict[int, int]]:
     """Integer coefficients c[k][l] of ad_U^k(X_n) = sum_l c[k][l]
-    N^{-l/2} X_{n-l} X^l for the collective quadratic Hamiltonian.
+    N^{-l/2} X_{n-l} X^l for the collective quadratic Hamiltonian, for
+    k = 0..k_max: the nonzero entries of T^k e_0 (`_recursion_matrix`).
 
     Recursion (consistent with the explicit low orders):
         c[k+1][l] = -l * c[k][l] - (n - l + 1) * c[k][l-1].
     """
-    coeffs: list[dict[int, int]] = [{0: 1}]
-    for k in range(k_max):
-        prev = coeffs[-1]
-        nxt: dict[int, int] = {}
-        for l in range(0, min(n, k + 1) + 1):
-            val = -l * prev.get(l, 0) - (n - l + 1) * prev.get(l - 1, 0)
-            if val:
-                nxt[l] = val
-        coeffs.append(nxt)
-    return coeffs
+    T = _recursion_matrix(n)
+    return [{l: int(v) for l, v in enumerate(np.linalg.matrix_power(T, k)[:, 0]) if v}
+            for k in range(k_max + 1)]
 
 
 def _mean_field_n_basis(spec: ModelSpec):
@@ -680,8 +654,10 @@ def modular_orbit(built: BuiltModel, index: int) -> ModularOrbit:
       (c0 W)_m sum_s conj(W_sm) A_s at frequency lam_m;
     - mean_field_n: ad_U^k(X_n) = sum_l (T^k e_0)_l M_l, where T is the
       lower-bidiagonal matrix of the `mean_field_n_coefficients` recursion
-      and M_l come from `_mean_field_n_basis`.  With T = V diag(-l) V^-1 the
-      component at frequency l = 0..n is (V^-1 e_0)_l sum_j V_jl M_j.
+      (`_recursion_matrix`) and M_l come from `_mean_field_n_basis`.  With
+      T = V diag(-l) V^-1 the component at frequency l = 0..n is
+      (V^-1 e_0)_l sum_j V_jl M_j.
+    A product kind's orbit is its direction's `components`, held only there.
     The g_model state is not number-conserving: OrbitUnsupportedError.
     """
     spec = built.spec
@@ -701,17 +677,17 @@ def modular_orbit(built: BuiltModel, index: int) -> ModularOrbit:
         note = f"alpha_t(Z_{j},{k}) by the one-particle matrix h"
     elif spec.kind == "mean_field_n":
         n = spec.params["n"]
-        T = np.diag(-np.arange(n + 1.0)) + np.diag(-np.arange(n, 0.0, -1), -1)
-        lam, V = np.linalg.eig(T)
+        lam, V = np.linalg.eig(_recursion_matrix(n))
         c = np.linalg.solve(V, np.eye(n + 1)[0])
         M = _mean_field_n_basis(spec)[2]
         comps = [(_combination(M, V[:, l] * c[l]), float(-w))
                  for l, w in enumerate(lam)]
         note = "alpha_t(X_n) by the coefficient recursion"
     elif spec.kind in PRODUCT_KINDS:
-        return ModularOrbit(built.orbits[index], spec.beta)
+        return ModularOrbit(built.directions[index].components, spec.beta)
     else:
-        comps, note = built.orbits[index], "alpha_t(X) = exp(i beta t) X"
+        comps = [(built.directions[index].X, 1.0)]
+        note = "alpha_t(X) = exp(i beta t) X"
     return ModularOrbit(comps, spec.beta, note=f"{note}; {_SECTOR_NOTE}")
 
 

@@ -90,7 +90,7 @@ def test_criterion_1_exact_algebra():
                   params={"sites_i": [0], "sites_j": [1]}),
     ]
     for spec in suite:
-        rep = verify_algebra(spec)
+        rep = verify_algebra(build_model(spec))
         worst = max(worst, rep.worst())
         details.append(f"{spec.kind}:{rep.worst():.1e}")
     ok = worst <= 1e-10
@@ -134,7 +134,7 @@ def test_criterion_3_generator_equivalence():
     metric = KmsMetric(state)
     K = assemble_generator([DerivationDirection(a)], metric, KERNEL)
     eta0 = KERNEL.fourier(0.0).real
-    X, Xd = a.matrix, a.dag().matrix
+    X, Xd = a, a.dag()
     cX = left_mult(X) - right_mult(X)
     cXd = left_mult(Xd) - right_mult(Xd)
     direct = eta0 * (-np.exp(-0.5) * right_mult(Xd) @ cX

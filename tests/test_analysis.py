@@ -186,8 +186,6 @@ def _full_lattice_scaling(kind, test, sizes, n_max, params, kernel, pad=1,
             return LatticeOperator(m.tocsr()[np.ix_(keep, keep)], frozenset(),
                                    chain[1])
 
-        for d, orbit in zip(built.directions, built.orbits):
-            d.components = orbit
         terms = direction_energies(built.directions, work.metric, kernel, F,
                                    headroom_delta)
         energies.append(sum(terms))

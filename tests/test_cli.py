@@ -40,12 +40,28 @@ def write_config(tmp_path, name="cfg.json", **overrides):
     return p
 
 
+def read_report(path):
+    """A report as JSON; NaN and +-Infinity, which JSON does not admit, fail."""
+    def refuse(name):
+        raise ValueError(f"{path} holds {name}, which is not valid JSON")
+    return json.loads(Path(path).read_text(), parse_constant=refuse)
+
+
+def test_read_report_refuses_non_json_numbers(tmp_path):
+    for text in ('{"residual": NaN}', '{"x": [Infinity]}', '{"x": -Infinity}'):
+        (tmp_path / "r.json").write_text(text)
+        with pytest.raises(ValueError, match="not valid JSON"):
+            read_report(tmp_path / "r.json")
+    (tmp_path / "r.json").write_text('{"residual": 1e-300}')
+    assert read_report(tmp_path / "r.json") == {"residual": 1e-300}
+
+
 def test_verify_scenario_passes(tmp_path):
     cfg = load_config(str(write_config(tmp_path)))
     status, report = run_scenario(cfg, out_dir=str(tmp_path / "out"))
     assert status == 0
     assert report["passed"]
-    data = json.loads((tmp_path / "out" / "report.json").read_text())
+    data = read_report(tmp_path / "out" / "report.json")
     assert data["experiment"] == "verify"
     assert all(c["passed"] for c in data["checks"])
     # timestamp lives in the sidecar, not the report
@@ -158,7 +174,7 @@ def test_nmax_override_on_unread_model_block_exits_2(tmp_path, capsys):
 def test_nmax_override_through_main(tmp_path):
     assert main(["--config", str(write_config(tmp_path)), "--out",
                  str(tmp_path / "o"), "--nmax-override", "2"]) == 0
-    data = json.loads((tmp_path / "o" / "report.json").read_text())
+    data = read_report(tmp_path / "o" / "report.json")
     assert data["truncation"]["n_max"] == 2
     assert data["truncation_sensitivity"]["n_max"] == 3
 
@@ -166,7 +182,7 @@ def test_nmax_override_through_main(tmp_path):
 def test_shipped_scaling_decade_scenario(tmp_path):
     assert main(["--config", str(SCENARIOS / "scaling_z_decade.json"),
                  "--out", str(tmp_path)]) == 0
-    data = json.loads((tmp_path / "scaling_z_decade_report.json").read_text())
+    data = read_report(tmp_path / "scaling_z_decade_report.json")
     assert data["scaling"]["sizes"] == [8, 16, 32, 64, 128]
     assert abs(data["scaling"]["exponent"] + 1) <= 1e-10
     assert abs(data["truncation_sensitivity"]["exponent"] + 1) <= 1e-10
@@ -302,7 +318,7 @@ def test_assertion_failure_exit_code(tmp_path):
     del cfg["model"]
     p.write_text(json.dumps(cfg))
     assert main(["--config", str(p), "--out", str(tmp_path / "f")]) == 1
-    data = json.loads((tmp_path / "f" / "fail.json").read_text())
+    data = read_report(tmp_path / "f" / "fail.json")
     assert data["passed"] is False
 
 
@@ -374,9 +390,9 @@ def test_remaining_experiments_smoke(tmp_path):
         p.write_text(json.dumps(cfg))
         status = main(["--config", str(p), "--out", str(tmp_path / "smoke")])
         assert status == 0, name
-        data = json.loads((tmp_path / "smoke" / f"{name}.json").read_text())
+        data = read_report(tmp_path / "smoke" / f"{name}.json")
         assert data["passed"], name
-    data = json.loads((tmp_path / "smoke" / "gap.json").read_text())
+    data = read_report(tmp_path / "smoke" / "gap.json")
     for section in (data["gap"], data["truncation_sensitivity"]):
         assert section["clean_span_residual"] <= 1e-9
         assert len(section["clean_eigenvalues"]) == 3
@@ -507,6 +523,10 @@ def _model(kind="z_power", n_max=2, **params):
         "model_params": {"sites_i": [0], "sites_j": [9]}}},
     {"experiment": "verify", "model": {**_model("zjk_quadratic"), "lattice": {
         "dims": 1, "extent": 1, "geometry": "chain", "n_max": 2}}},
+    {"experiment": "verify", "model": _model("z_field", kappa=[1.0], xi=[0.0])},
+    {"experiment": "verify", "model": _model("w_ops", ergodic_fix=True)},
+    # a check whose margin 4 leaves no clean level at n_max 3
+    {"experiment": "verify", "model": _model("g_model", n_max=3)},
     # experiment params of the wrong type
     {"experiment": "bogolubov", "model": None, "params": {"s": "x"}},
     {"experiment": "scaling", "model": None, "params": {"sizes": "abc"}},
@@ -527,6 +547,8 @@ def _model(kind="z_power", n_max=2, **params):
         "gap-zero-weights", "lieb-robinson-chain3", "lieb-robinson-nmax0",
         "decay-length2", "decay-cross-check-nmax1", "heat-negative-time",
         "scaling-size0", "scaling-aij-no-direction", "verify-zjk-one-site",
+        "verify-z_field-zero-xi", "verify-w_ops-ergodic_fix",
+        "verify-g_model-no-clean-level",
         "bogolubov-string-s", "scaling-string-sizes",
         "lieb-robinson-float-chain-length", "scaling-float-sizes",
         "heat-float-lattice-nmax"])
@@ -539,6 +561,29 @@ def test_config_the_run_cannot_use_exits_2(tmp_path, capsys, overrides):
     err = capsys.readouterr().err
     assert err.startswith("config error:") and "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("model", [
+    _model("zjk_quadratic", kappa=1.0, eps=0.5),
+    {**_model("invariant_aij", sites_i=[0], sites_j=[1]),
+     "lattice": {"dims": 1, "extent": 3, "geometry": "chain", "n_max": 2}},
+    _model("w_ops", selfadjoint=True)], ids=lambda m: m["kind"])
+def test_verify_builds_each_model_once(tmp_path, monkeypatch, model):
+    # the identity suite reads the model the run built: one build_model and
+    # one gibbs_state call for the run and one for its n_max + 1 rerun
+    counts = {"build_model": 0, "gibbs_state": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+    for name in counts:
+        monkeypatch.setattr(models, name, counted(name, getattr(models, name)))
+    cfg = load_config(str(write_config(tmp_path, model=model)))
+    status, report = run_scenario(cfg, out_dir=str(tmp_path / "out"))
+    assert status == 0 and report["passed"]
+    assert counts == {"build_model": 2, "gibbs_state": 2}
 
 
 def test_component_limit_exits_2(tmp_path, capsys):

@@ -87,7 +87,7 @@ def test_modified_leibniz(single_mode, rng):
 def meanfield_direct_superop(lat, beta, eta0):
     """Four-term closed-form generator of the collective-mode model."""
     a = site_operator(lat, "a", 0)
-    X, Xd = a.matrix, a.dag().matrix
+    X, Xd = a, a.dag()
     comm_X = left_mult(X) - right_mult(X)
     comm_Xd = left_mult(Xd) - right_mult(Xd)
     return eta0 * (-np.exp(-beta / 2) * right_mult(Xd) @ comm_X

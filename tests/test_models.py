@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -10,7 +11,7 @@ from fockdirichlet import (AdmissibleKernel, DerivationDirection, KmsMetric,
                            modular_flow, modular_orbit, site_operator,
                            total_sector_projector, verify_algebra)
 from fockdirichlet.fock import compressed
-from fockdirichlet.models import (MODEL_KINDS, PRODUCT_KINDS,
+from fockdirichlet.models import (MODEL_KINDS, PRODUCT_KINDS, RECURSION_ORDER,
                                   OrbitUnsupportedError, one_particle_matrix)
 
 
@@ -22,7 +23,7 @@ def clean_block_norm(op, lattice, margin):
 
 def test_mean_field_collective_ccr():
     lat = LatticeConfig(1, 2, "chain", 1.0, 3)
-    rep = verify_algebra(ModelSpec("mean_field", lat))
+    rep = verify_algebra(build_model(ModelSpec("mean_field", lat)))
     assert rep.passed, [(c.name, c.residual) for c in rep.checks]
     built = build_model(ModelSpec("mean_field", lat))
     X = built.directions[0].X
@@ -34,7 +35,7 @@ def test_mean_field_collective_ccr():
 def test_z_field_ccr_constant():
     lat = LatticeConfig(1, 2, "chain", 1.0, 2)
     spec = ModelSpec("z_field", lat, params={"kappa": [1.0, 1.0]})
-    rep = verify_algebra(spec)
+    rep = verify_algebra(build_model(spec))
     assert rep.passed
     built = build_model(spec)
     Z = built.directions[0].X
@@ -47,7 +48,7 @@ def test_z_power_commutator_polynomial():
     # [A^2, A+^2] = 4N + 2 on clean levels 0..n_max-2
     lat = LatticeConfig(1, 1, "chain", 1.0, 4)
     spec = ModelSpec("z_power", lat, params={"n": 2, "m": 2})
-    rep = verify_algebra(spec)
+    rep = verify_algebra(build_model(spec))
     assert rep.passed, [(c.name, c.residual) for c in rep.checks]
     a = site_operator(lat, "a", 0)
     n_op = site_operator(lat, "n", 0)
@@ -59,7 +60,7 @@ def test_z_power_commutator_polynomial():
 def test_w_ops_commutation_relations():
     lat = LatticeConfig(1, 3, "chain", 1.0, 2)
     spec = ModelSpec("w_ops", lat, params={"n": 1, "m": 1, "selfadjoint": True})
-    rep = verify_algebra(spec)
+    rep = verify_algebra(build_model(spec))
     assert rep.passed, [(c.name, c.residual, c.note) for c in rep.checks]
     # explicit instance: [W_01, W_12] = A_0+ A_2 - A_2+ A_0
     ad = [site_operator(lat, "adag", s) for s in range(3)]
@@ -75,7 +76,7 @@ def test_w_ops_commutation_relations():
 def test_g_model_identities():
     lat = LatticeConfig(1, 1, "chain", 1.0, 10)
     spec = ModelSpec("g_model", lat, params={"kappa": np.sqrt(2), "xi": 1.0})
-    rep = verify_algebra(spec)
+    rep = verify_algebra(build_model(spec))
     assert rep.passed, [(c.name, c.residual) for c in rep.checks]
     # R = 1 here: [G, N_c] - 2G vanishes on the clean block
     a = site_operator(lat, "a", 0)
@@ -88,14 +89,14 @@ def test_g_model_identities():
 def test_y_power_ccr_uses_product_polynomial():
     lat = LatticeConfig(1, 2, "chain", 1.0, 4)
     spec = ModelSpec("y_power", lat, params={"n": 2, "m": 1})
-    rep = verify_algebra(spec)
+    rep = verify_algebra(build_model(spec))
     assert rep.passed, [(c.name, c.residual, c.note) for c in rep.checks]
 
 
 def test_zjk_number_conservation_exact():
     lat = LatticeConfig(1, 2, "chain", 1.0, 2)
     spec = ModelSpec("zjk_quadratic", lat, params={"kappa": 1.0, "eps": 1.0})
-    rep = verify_algebra(spec)
+    rep = verify_algebra(build_model(spec))
     assert rep.passed
     assert rep.checks[0].residual < 1e-12
 
@@ -104,7 +105,7 @@ def test_invariant_aij_modular_invariance():
     lat = LatticeConfig(1, 3, "chain", 1.0, 2)
     spec = ModelSpec("invariant_aij", lat,
                      params={"sites_i": [0], "sites_j": [1]})
-    rep = verify_algebra(spec)
+    rep = verify_algebra(build_model(spec))
     assert rep.passed
     built = build_model(spec)
     X = built.directions[0].X
@@ -116,7 +117,7 @@ def test_mean_field_n_recursion_integer_exact():
     # three sites make the reduced collective family linearly independent
     lat = LatticeConfig(1, 3, "chain", 1.0, 6)
     spec = ModelSpec("mean_field_n", lat, params={"n": 3, "eps": 0.5})
-    rep = verify_algebra(spec)
+    rep = verify_algebra(build_model(spec))
     assert rep.passed, [(c.name, c.residual, c.note) for c in rep.checks]
     assert all("coefficients" in c.note for c in rep.checks
                if c.name.startswith("recursion"))
@@ -125,6 +126,19 @@ def test_mean_field_n_recursion_integer_exact():
     assert c[1] == {1: -3}
     assert c[2] == {1: 3, 2: 6}
     assert c[3] == {1: -3, 2: -18, 3: -6}
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_mean_field_n_coefficients_follow_their_recursion(n):
+    # c[k+1][l] = -l c[k][l] - (n - l + 1) c[k][l-1] from c[0] = {0: 1},
+    # with only the nonzero integer entries kept
+    c = mean_field_n_coefficients(n, RECURSION_ORDER)
+    assert len(c) == RECURSION_ORDER + 1 and c[0] == {0: 1}
+    for k in range(RECURSION_ORDER):
+        want = {l: -l * c[k].get(l, 0) - (n - l + 1) * c[k].get(l - 1, 0)
+                for l in range(n + 1)}
+        assert c[k + 1] == {l: v for l, v in want.items() if v}
+        assert all(type(v) is int for v in c[k + 1].values())
 
 
 def test_mean_field_n_series_orbit_matches_flow():
@@ -244,6 +258,30 @@ def test_every_kind_orbit_matches_modular_flow(kind):
             == list(range(spec.params["n"] + 1))
 
 
+def test_product_kind_orbits_are_their_direction_components():
+    lat = LatticeConfig(1, 3, "chain", 1.0, 2)
+    for kind in PRODUCT_KINDS:
+        built = build_model(ModelSpec(kind, lat,
+                                      params=ORBIT_PARAMS.get(kind, {})))
+        assert not hasattr(built, "orbits")
+        for index, d in enumerate(built.directions):
+            assert modular_orbit(built, index).components is d.components
+
+
+def test_mean_field_orbit_is_formed_from_its_direction():
+    lat = LatticeConfig(1, 2, "chain", 1.0, 3)
+    built = build_model(ModelSpec("mean_field", lat))
+    X = built.directions[0].X
+    assert built.directions[0].components is None
+    (op, w), = modular_orbit(built, 0).components
+    assert op is X and w == 1.0
+    assert modular_orbit(built, 0).note == (
+        "alpha_t(X) = exp(i beta t) X; "
+        "exact on the total-occupation sector <= n_max")
+    # the state is the Gibbs state of the Hamiltonian the model keeps
+    assert (built.hamiltonian - X.dag() @ X).fro_norm() == 0.0
+
+
 def test_g_model_orbit_unsupported():
     lat = LatticeConfig(1, 1, "chain", 1.0, 4)
     built = build_model(ModelSpec("g_model", lat,
@@ -263,6 +301,22 @@ def test_selfadjoint_w_degeneration(kernel):
     assert np.linalg.norm(K.matrix @ np.asarray(W.toarray()).reshape(-1, order="F")) < 1e-10
 
 
+@pytest.mark.parametrize("kind, params, n_max, check, margin", [
+    ("w_ops", {}, 1, "w_commutator_(0, 1)_(0, 1)", 2),
+    ("g_model", {}, 3, "g_gstar", 4),
+    ("mean_field_n", {"n": 3}, 2, "power_ccr_site0_n3", 3),
+], ids=["w_ops", "g_model", "mean_field_n"])
+def test_check_without_a_clean_level_is_refused(kind, params, n_max, check,
+                                               margin):
+    # the check's margin leaves no occupation level <= n_max - margin
+    lat = LatticeConfig(1, 1 if kind == "g_model" else 2, "chain", 1.0, n_max)
+    built = build_model(ModelSpec(kind, lat, params=params))
+    with pytest.raises(ValueError, match=re.escape(
+            f"check {check!r} has margin {margin} and needs n_max >= "
+            f"{margin}, got n_max {n_max}")):
+        verify_algebra(built)
+
+
 def test_model_validation_errors():
     lat = LatticeConfig(1, 2, "chain", 1.0, 2)
     with pytest.raises(ValueError):
@@ -275,6 +329,12 @@ def test_model_validation_errors():
         ModelSpec("g_model", lat, params={"kappa": 0.0, "xi": 0.0})
     with pytest.raises(ValueError):
         ModelSpec("z_field", lat, params={"kappa": []})
+    with pytest.raises(ValueError, match="nonempty xi"):
+        ModelSpec("y_field", lat, params={"xi": []})
+    with pytest.raises(ValueError, match="nonzero xi"):
+        ModelSpec("z_field", lat, params={"kappa": [1.0], "xi": [0.0]})
+    with pytest.raises(ValueError, match="unknown w_ops param 'ergodic_fix'"):
+        ModelSpec("w_ops", lat, params={"ergodic_fix": True})
     with pytest.raises(ValueError):
         ModelSpec("invariant_aij", lat, params={"sites_i": [], "sites_j": [0]})
 
@@ -289,7 +349,7 @@ def test_model_params_are_checked_and_copied():
     spec = ModelSpec("w_ops", lat, params=given)
     assert given == {"selfadjoint": True}
     assert spec.params == {"n": 1, "m": 1, "selfadjoint": True,
-                           "ergodic_fix": False, "edges": "unordered"}
+                           "edges": "unordered"}
     # the n_max + 1 rerun rebuilds the spec from its filled params
     assert replace(spec, lattice=lat).params == spec.params
 
@@ -325,7 +385,7 @@ def test_g_model_defaults_admit_kappa_zero():
     spec = ModelSpec("g_model", LatticeConfig(1, 1, "chain", 1.0, 8),
                      params={"kappa": 0})
     assert len(build_model(spec).directions) == 1
-    rep = verify_algebra(spec)
+    rep = verify_algebra(build_model(spec))
     assert rep.passed, [(c.name, c.residual) for c in rep.checks]
 
 
@@ -338,7 +398,7 @@ def test_every_kind_at_its_defaults(kind):
         return
     spec = ModelSpec(kind, lat)
     assert build_model(spec).directions
-    rep = verify_algebra(spec)
+    rep = verify_algebra(build_model(spec))
     assert rep.passed, [(c.name, c.residual, c.tol) for c in rep.checks]
 
 
@@ -363,7 +423,7 @@ def test_all_catalog_models_pass_verify():
                   params={"sites_i": [0], "sites_j": [1]}),
     ]
     for spec in cases:
-        rep = verify_algebra(spec)
+        rep = verify_algebra(build_model(spec))
         reports[spec.kind] = rep
         assert rep.passed, (spec.kind,
                             [(c.name, c.residual, c.tol) for c in rep.checks])
