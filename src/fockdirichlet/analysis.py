@@ -23,10 +23,11 @@ import scipy.sparse as sp
 
 from .dirichlet import (Superoperator, _eigen_blocks, assemble_generator,
                         require_symmetric, semigroup_apply, vec)
-from .fock import (LatticeConfig, LatticeOperator, clean_projector, commutator,
-                   identity_operator, mollify, site_operator)
+from .fock import (LatticeConfig, LatticeOperator, clean_projector, combination,
+                   commutator, identity_operator, mollify, site_operator)
 from .kernels import AdmissibleKernel
-from .models import PRODUCT_KINDS, ModelSpec, build_model, modular_orbit
+from .models import (PRODUCT_KINDS, BuiltModel, ModelSpec, build_model,
+                     modular_orbit)
 from .state import KmsMetric, _hermiticity_defects, decompose_modular
 
 # D^2 up to which eigh is used: the measured crossover with shift-invert,
@@ -167,9 +168,13 @@ def spectral_gap(L: Superoperator, k: int = 8) -> GapReport:
             # mode applies only this operator, and K has the spectrum of S
             op = LinearOperator((n, n), dtype=complex,
                                 matvec=lambda x: half(lu.solve(half(x, -1))))
+            # a fixed start vector in place of ARPACK's random one, so that
+            # repeated runs read the same eigenvalues bit for bit
+            v0 = np.random.default_rng(0).standard_normal(n)
             while True:  # widen until an eigenvalue clears the kernel
                 ev = np.sort(eigsh(L.matrix, k=m, sigma=GAP_SHIFT, OPinv=op,
-                                   which="LM", return_eigenvectors=False))
+                                   which="LM", v0=v0,
+                                   return_eigenvectors=False))
                 if ev[-1] >= ZERO_TOL or m == n - 2:
                     break
                 m = min(2 * m, n - 2)
@@ -242,11 +247,6 @@ def _working_block(eval_lattice: LatticeConfig, n_max: int) -> np.ndarray:
     return np.flatnonzero(np.all(occ <= n_max, axis=1))
 
 
-def _site_sum(lattice: LatticeConfig, kind: str, sites) -> LatticeOperator | None:
-    terms = [site_operator(lattice, kind, j) for j in sites]
-    return sum(terms[1:], terms[0]) if terms else None
-
-
 class _ChainForms:
     """Window-sum energy terms on one open chain of `n_sites`.
 
@@ -279,18 +279,22 @@ class _ChainForms:
         return LatticeOperator(m.tocsr()[self.keep], frozenset(),
                                self.metric.state.lattice)
 
+    def window_sum(self, lattice: LatticeConfig, sites) -> LatticeOperator:
+        """F = sum_{j in sites} T_j on `lattice`."""
+        return combination([site_operator(lattice, self.test_op, j) for j in sites])
+
     def energies(self, sites: tuple) -> list[float]:
         """Per-direction energy terms of F = sum_{j in sites} T_j."""
         if sites not in self.cache:
-            F = _site_sum(self.eval, self.test_op, sites)
-            self.cache[sites] = [0.0] * len(self.directions) if F is None \
-                else direction_energies(self.directions, self.metric,
-                                        self.kernel, F, self.derivation)
+            self.cache[sites] = direction_energies(
+                self.directions, self.metric, self.kernel,
+                self.window_sum(self.eval, sites), self.derivation) \
+                if sites else [0.0] * len(self.directions)
         return self.cache[sites]
 
     def variance(self, sites) -> float:
         return self.metric.variance(
-            _site_sum(self.metric.state.lattice, self.test_op, sites))
+            self.window_sum(self.metric.state.lattice, sites))
 
 
 def rayleigh_scaling(kind: str, test: str, sizes, *, n_max: int = 1,
@@ -391,26 +395,36 @@ def graph_laplacian(lattice: LatticeConfig) -> np.ndarray:
     return Lg
 
 
-def heat_comparison(lattice: LatticeConfig, *, beta: float = 1.0,
-                    kernel: AdmissibleKernel | None = None,
-                    edges: str = "ordered", t_grid=(0.2, 0.5, 1.0, 2.0),
-                    seed: int = 0) -> HeatReport:
+def _heat_constant(kernel: AdmissibleKernel, beta: float,
+                   edges: str = "ordered") -> float:
+    """C = mult eta_hat(0) sinh(beta/2) of the heat reduction: mult = 4 when
+    each neighbour pair is an edge in both orders, else 2."""
+    mult = 4.0 if edges == "ordered" else 2.0
+    return float(mult * kernel.fourier(0.0).real * np.sinh(beta / 2.0))
+
+
+def heat_comparison(built: BuiltModel, *, kernel: AdmissibleKernel | None = None,
+                    t_grid=(0.2, 0.5, 1.0, 2.0), seed: int = 0) -> HeatReport:
     """Verify the linear-sector reduction of the nearest-neighbour difference
-    model: the generator restricted to span{A_j, A_j*} equals
-    C * blockdiag(Lg, Lg) with C = 4 eta_hat(0) sinh(beta/2) (ordered edges),
-    and coefficient vectors evolve by the heat semigroup exp(-t C Lg), here
-    from the unit coefficient vector at site 0.  The raw semigroup is run on
+    model `built`, a `z_power` model with n = m = 1, `half` false and
+    nu = mu = 1 at n_max >= 2 (else ValueError, before any assembly): the
+    generator restricted to span{A_j, A_j*} equals C * blockdiag(Lg, Lg)
+    with C = `_heat_constant` of the model's beta and edges, and coefficient
+    vectors evolve by the heat semigroup exp(-t C Lg), here from the unit
+    coefficient vector at site 0.  The raw semigroup is run on
     f = A_0 + A_0*.  `seed` draws the generator's random symmetry-test pairs.
     """
     from scipy.linalg import expm
     kernel = kernel or AdmissibleKernel()
-    if lattice.n_max < 2:
-        raise ValueError("heat comparison needs n_max >= 2: the margin-1 "
-                         "clean block must retain the ladder span")
-    spec = ModelSpec("z_power", lattice, beta=beta,
-                     params={"n": 1, "m": 1, "edges": edges})
-    built = build_model(spec)
-    metric = built.metric
+    spec, metric = built.spec, built.metric
+    lattice, beta, p = spec.lattice, spec.beta, spec.params
+    if not (spec.kind == "z_power" and lattice.n_max >= 2 and (
+            p["n"], p["m"], p["half"], spec.nu, spec.mu) == (1, 1, False, 1, 1)):
+        raise ValueError(
+            "heat needs a z_power model with n = m = 1, half false and "
+            "nu = mu = 1 at n_max >= 2 (the margin-1 clean block must retain "
+            f"the ladder span), got {spec.kind!r} with params {p}, nu "
+            f"{spec.nu}, mu {spec.mu} at n_max {lattice.n_max}")
     K = assemble_generator(built.directions, metric, kernel, path="eigen",
                            seed=seed)
 
@@ -418,8 +432,7 @@ def heat_comparison(lattice: LatticeConfig, *, beta: float = 1.0,
     span = ladder_span_restriction(K)
     R = span.matrix
 
-    mult = 4.0 if edges == "ordered" else 2.0
-    C = float(mult * kernel.fourier(0.0).real * np.sinh(beta / 2.0))
+    C = _heat_constant(kernel, beta, p["edges"])
     Lg = graph_laplacian(lattice)
     target = np.zeros_like(R)
     target[:N, :N] = C * Lg
@@ -445,7 +458,7 @@ def heat_comparison(lattice: LatticeConfig, *, beta: float = 1.0,
                       trajectory_deviation=float(traj_dev),
                       full_semigroup_deviation=float(full_dev),
                       raw_span_residual=span.raw_residual,
-                      metadata={"beta": beta, "edges": edges,
+                      metadata={"beta": beta, "edges": p["edges"],
                                 "n_max": lattice.n_max,
                                 "geometry": lattice.geometry,
                                 "n_sites": N},
@@ -483,7 +496,7 @@ def polynomial_decay_probe(lengths=(16,), *, beta: float = 1.0,
     """
     from scipy.linalg import expm
     kernel = kernel or AdmissibleKernel()
-    C = float(4.0 * kernel.fourier(0.0).real * np.sinh(beta / 2.0))
+    C = _heat_constant(kernel, beta)
     slopes, windows, trajs = [], [], {}
     for L in lengths:
         ring = LatticeConfig(1, L, "cycle", 1.0, 1)
@@ -503,8 +516,8 @@ def polynomial_decay_probe(lengths=(16,), *, beta: float = 1.0,
     cross = None
     if cross_check_length:
         ring = LatticeConfig(1, cross_check_length, "cycle", 1.0, cross_check_n_max)
-        cross = heat_comparison(ring, beta=beta, kernel=kernel,
-                                t_grid=(0.3, 1.0, 2.0), seed=seed)
+        cross = heat_comparison(build_model(ModelSpec("z_power", ring, beta=beta)),
+                                kernel=kernel, t_grid=(0.3, 1.0, 2.0), seed=seed)
     return DecayReport(lengths=list(lengths), slopes=slopes, windows=windows,
                        sup_trajectories=trajs, t0_check=t0_check,
                        cross_check=cross,
@@ -618,7 +631,7 @@ def lieb_robinson_probe(chain_length: int = 5, n_max: int = 2, *,
         phi = (moll[j] @ moll[j + 1].dag() + moll[j].dag() @ moll[j + 1]) * lam
         phi.label = f"Phi_{j},{j + 1}"
         bonds.append(phi)
-    U = sum(bonds[1:], bonds[0])
+    U = combination(bonds)
     if _hermiticity_defects(U.matrix)[0] > 1e-11 * max(U.fro_norm(), 1.0):
         raise ValueError("interaction is not Hermitian")
     n_tot = lattice.occupations().sum(axis=1)

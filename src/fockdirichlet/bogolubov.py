@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fock import LatticeConfig, LatticeOperator, build_mode_ops, clean_projector, \
-    compressed, embed, identity_operator
+    combination, compressed, embed, identity_operator, site_operator
 from .state import KmsMetric, gibbs_state
 
 QI_PAIRS = 12       # random polynomial pairs of the quasi-invariance check
@@ -78,16 +78,13 @@ def bogolubov_pair(params: BogolubovParams, lattice: LatticeConfig, site: int = 
 def minkowski_field(tau: complex, x, lattice: LatticeConfig) -> LatticeOperator:
     """S = tau (1/sqrt(n)) sum_i A_i + sum_i x_i A_i*, so that on the clean
     subspace [S, S*] = (|tau|^2 - |x|^2) id."""
-    from .fock import site_operator
     x = np.asarray(x, dtype=complex)
     n = len(x)
     if n < 1 or n > lattice.n_sites:
         raise ValueError("need 1 <= len(x) <= number of lattice modes")
-    out = None
-    for i in range(n):
-        Ai = site_operator(lattice, "a", i)
-        term = Ai * (tau / np.sqrt(n)) + Ai.dag() * complex(x[i])
-        out = term if out is None else out + term
+    A = [site_operator(lattice, "a", i) for i in range(n)]
+    out = combination([Ai * (tau / np.sqrt(n)) + Ai.dag() * complex(xi)
+                       for Ai, xi in zip(A, x)])
     out.label = "S"
     return out
 

@@ -92,16 +92,11 @@ def _spec(lattice: dict, **model) -> ModelSpec:
 
 def _directed(spec: ModelSpec) -> models.BuiltModel:
     """The built model, refused unless it has a direction on its lattice."""
-    built = models.build_model(spec)
+    built, lat = models.build_model(spec), spec.lattice
     if not built.directions:
-        raise ConfigError(_no_direction(spec))
+        raise ConfigError(f"model {spec.kind!r} has no direction on a "
+                          f"{lat.geometry} of extent {lat.extent}")
     return built
-
-
-def _no_direction(spec: ModelSpec) -> str:
-    lat = spec.lattice
-    return (f"model {spec.kind!r} has no direction on a {lat.geometry} of "
-            f"extent {lat.extent}")
 
 
 def _superoperator_bytes(n_max, spec, p):
@@ -154,17 +149,8 @@ def _scaling(n_max, spec, p, kernel, seed):
 
 
 def _heat(n_max, spec, p, kernel, seed):
-    if spec.kind != "z_power" or n_max < 2:
-        raise ConfigError(f"heat needs model kind 'z_power' at lattice n_max "
-                          f">= 2, got {spec.kind!r} at n_max {n_max}")
-    if spec.params != models.KINDS["z_power"] or spec.nu != 1 or spec.mu != 1:
-        raise ConfigError("heat builds its own z_power directions; the model "
-                          "block's params, nu and mu must keep their defaults")
-    if not spec.lattice.neighbor_pairs():   # one z_power direction per edge
-        raise ConfigError(_no_direction(spec))
-    rep = analysis.heat_comparison(spec.lattice, beta=spec.beta, kernel=kernel,
-                                   edges=p["edges"], t_grid=tuple(p["t_grid"]),
-                                   seed=seed)
+    rep = analysis.heat_comparison(_directed(spec), kernel=kernel,
+                                   t_grid=tuple(p["t_grid"]), seed=seed)
     return Run({
         "heat": {k: v for k, v in vars(rep).items()
                  if k not in ("restriction", "semigroup")},
@@ -253,8 +239,8 @@ EXPERIMENTS = {
          "n_max": 1, "beta": 1.0, "model_params": {"n": 1, "m": 1, "half": True},
          "pad": 1, "exponent_range": [-1.1, -0.9]},
         _scaling, rerun=lambda s: {"exponent": s["scaling"]["exponent"]}),
-    "heat": Experiment({"edges": "ordered", "t_grid": [0.2, 0.5, 1.0, 2.0]},
-                       _heat, model=True, budget=_superoperator_bytes),
+    "heat": Experiment({"t_grid": [0.2, 0.5, 1.0, 2.0]}, _heat, model=True,
+                       budget=_superoperator_bytes),
     "decay": Experiment({"lengths": [16], "beta": 1.0, "cross_check_length": 4,
                          "cross_check_n_max": 2}, _decay),
     "lieb-robinson": Experiment(
@@ -304,7 +290,7 @@ CONFIG_SCHEMA = {
             "additionalProperties": False,
             "required": ["kind", "lattice"],
             "properties": {
-                "kind": {"enum": list(models.MODEL_KINDS)},
+                "kind": {"enum": list(models.KINDS)},
                 "lattice": LATTICE_SCHEMA,
                 "beta": {"type": "number", "exclusiveMinimum": 0},
                 "nu": {"type": "number", "minimum": 0},

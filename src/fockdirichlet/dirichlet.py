@@ -38,7 +38,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .fock import LatticeConfig, LatticeOperator, _prune, identity_operator
+from .fock import (LatticeConfig, LatticeOperator, _prune, combination,
+                   identity_operator)
 from .kernels import AdmissibleKernel
 from .state import (GibbsState, KmsMetric, decompose_modular, modular_flow,
                     modular_flows, vec)
@@ -326,8 +327,8 @@ def gamma1_closed_form(f, directions, metric: KmsMetric,
     """
     C = _smoothed(kernel).contour_constant().real
     state = metric.state
-    out = None
-    for direction in directions:
+
+    def term(direction):
         comps = _eigen_components(direction, state)
         if len(comps) != 1:
             raise ValueError(f"direction {direction.X.label!r} is not a single "
@@ -336,10 +337,9 @@ def gamma1_closed_form(f, directions, metric: KmsMetric,
         xi = -omega * state.beta / 2.0
         df = (X @ f - f @ X) * 1j
         dfs = (X.dag() @ f - f @ X.dag()) * 1j
-        term = ((direction.nu + direction.mu) / 4.0 * C) * (
+        return ((direction.nu + direction.mu) / 4.0 * C) * (
             np.exp(xi) * (dfs.dag() @ dfs) + np.exp(-xi) * (df.dag() @ df))
-        out = term if out is None else out + term
-    return out
+    return combination([term(d) for d in directions])
 
 
 def gamma1_contour_form(f, directions, metric: KmsMetric,

@@ -93,12 +93,9 @@ class LatticeConfig:
 
     def neighbor_pairs(self) -> list[tuple[int, int]]:
         """Unordered neighbour pairs (site indices, i < j)."""
-        out = []
-        for a in range(self.n_sites):
-            for b in range(a + 1, self.n_sites):
-                if 0 < self.distance(self.sites[a], self.sites[b]) <= self.neighbor_radius:
-                    out.append((a, b))
-        return out
+        sites = self.sites
+        return [(a, b) for a in range(len(sites)) for b in range(a + 1, len(sites))
+                if 0 < self.distance(sites[a], sites[b]) <= self.neighbor_radius]
 
     def ordered_neighbor_pairs(self) -> list[tuple[int, int]]:
         """All ordered neighbour pairs (j, k), j != k."""
@@ -218,6 +215,28 @@ class LatticeOperator:
 
 def commutator(x: LatticeOperator, y: LatticeOperator) -> LatticeOperator:
     return x @ y - y @ x
+
+
+def combination(ops, coeffs=None) -> LatticeOperator:
+    """ops[0] c_0 + ops[1] c_1 + ..., each term scaled and then added from
+    left to right; a single number applies to every term, and with no
+    coeffs the operators are added as they are."""
+    if coeffs is not None:
+        if np.isscalar(coeffs):
+            coeffs = [coeffs] * len(ops)
+        ops = [op * c for op, c in zip(ops, coeffs)]
+    out, *rest = ops
+    for op in rest:
+        out = out + op
+    return out
+
+
+def product(ops) -> LatticeOperator:
+    """ops[0] @ ops[1] @ ..., multiplied from left to right."""
+    out, *rest = ops
+    for op in rest:
+        out = out @ op
+    return out
 
 
 def build_mode_ops(n_max: int):

@@ -35,8 +35,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dirichlet import DerivationDirection
-from .fock import (LatticeConfig, LatticeOperator, clean_projector, commutator,
-                   compressed, identity_operator, site_operator, total_sector_projector)
+from .fock import (LatticeConfig, LatticeOperator, clean_projector, combination,
+                   commutator, compressed, identity_operator, product,
+                   site_operator, total_sector_projector)
 from .state import GibbsState, KmsMetric, gibbs_state, modular_flow
 
 # each kind's params and their defaults; a None default is derived from
@@ -53,7 +54,6 @@ KINDS = {
     "g_model": {"kappa": np.sqrt(2), "xi": 1.0},
     "invariant_aij": {"sites_i": (), "sites_j": ()},
 }
-MODEL_KINDS = tuple(KINDS)
 # kinds whose state is the product Gibbs state of the number Hamiltonian
 PRODUCT_KINDS = ("z_field", "y_field", "w_ops", "z_power", "y_power",
                  "invariant_aij")
@@ -175,26 +175,12 @@ def _ladder(lattice: LatticeConfig):
 
 
 def _number_hamiltonian(lattice: LatticeConfig) -> LatticeOperator:
-    N = [site_operator(lattice, "n", s) for s in range(lattice.n_sites)]
-    return sum(N[1:], N[0])
+    return combination([site_operator(lattice, "n", s)
+                        for s in range(lattice.n_sites)])
 
 
 def _pow(op: LatticeOperator, k: int) -> LatticeOperator:
-    out = op
-    for _ in range(k - 1):
-        out = out @ op
-    return out
-
-
-def _combination(ops, coeffs) -> LatticeOperator:
-    """sum_k coeffs_k ops_k, added in order; a single number applies to
-    every term."""
-    if isinstance(coeffs, numbers.Number):
-        coeffs = [coeffs] * len(ops)
-    out = ops[0] * coeffs[0]
-    for op, c in zip(ops[1:], coeffs[1:]):
-        out = out + op * c
-    return out
+    return product([op] * k)
 
 
 def edge_list(lattice: LatticeConfig, convention: str):
@@ -211,21 +197,21 @@ def build_model(spec: ModelSpec) -> BuiltModel:
     directions, notes = [], []
 
     if kind in ("mean_field", "mean_field_n"):
-        X = _combination(a, 1.0 / np.sqrt(lattice.n_sites))
+        X = combination(a, 1.0 / np.sqrt(lattice.n_sites))
         X.label = "X"
         H = X.dag() @ X
         if kind == "mean_field":
             directions.append(DerivationDirection(X, spec.nu, spec.mu))
         else:
             n = p["n"]
-            Xn = _combination([_pow(x, n) for x in a],
-                              1.0 / lattice.n_sites ** p["eps"])
+            Xn = combination([_pow(x, n) for x in a],
+                             1.0 / lattice.n_sites ** p["eps"])
             Xn.label = f"X_{n}"
             directions.append(DerivationDirection(Xn, spec.nu, spec.mu))
             notes.append("orbit via the coefficient recursion; see "
                          "modular_orbit")
     elif kind in ("z_field", "y_field"):
-        for shift in _shifts(lattice, max(len(p["kappa"]), len(p["xi"]))):
+        for shift in _shifts(lattice, range(max(len(p["kappa"]), len(p["xi"])))):
             Zk, Zx = _z_pair(a, p, shift, lattice)
             if kind == "z_field":
                 for Z, nu, mu in ((Zk, spec.nu, 0.0), (Zx, 0.0, spec.mu)):
@@ -242,9 +228,8 @@ def build_model(spec: ModelSpec) -> BuiltModel:
         for (j, k) in edges:
             Z = a[j] * kap[j] + a[k] * eps[k]
             Z.label = f"Z_{j},{k}"
-            term = Z.dag() @ Z
-            H = term if H is None else H + term
             directions.append(DerivationDirection(Z, spec.nu, spec.mu))
+        H = combination([d.X.dag() @ d.X for d in directions])
         notes.append(f"H sums {p['edges']} neighbour pairs")
     elif kind == "w_ops":
         n, m = p["n"], p["m"]
@@ -271,16 +256,15 @@ def build_model(spec: ModelSpec) -> BuiltModel:
             directions.append(DerivationDirection(Z, spec.nu, spec.mu,
                                                   components=comps))
     elif kind == "g_model":
-        for s in range(lattice.n_sites):
-            _, G, Ns, R = _g_ops(a, ad, s, p)
-            H = Ns if H is None else H + Ns
-            directions.append(DerivationDirection(G, spec.nu, spec.mu))
-        notes.append(f"modular frequency of G is 2R = {2 * R:.6g} up to "
+        _, G, Ns, R = zip(*(_g_ops(a, ad, s, p) for s in range(lattice.n_sites)))
+        H = combination(Ns)
+        directions = [DerivationDirection(g, spec.nu, spec.mu) for g in G]
+        notes.append(f"modular frequency of G is 2R = {2 * R[0]:.6g} up to "
                      "truncation; eigen assembly decomposes numerically")
     elif kind == "invariant_aij":
         I_sites, J_sites = p["sites_i"], p["sites_j"]
         freq = float(len(I_sites) - len(J_sites))
-        for shift in _aij_shifts(lattice, I_sites, J_sites):
+        for shift in _shifts(lattice, [*I_sites, *J_sites]):
             op = _aij_operator(a, ad, I_sites, J_sites, shift, lattice)
             directions.append(DerivationDirection(op, spec.nu, spec.mu,
                                                   components=[(op, freq)]))
@@ -314,21 +298,23 @@ def _per_site(value, lattice: LatticeConfig) -> list[complex]:
     return [complex(v) for v in value]
 
 
-def _shifts(lattice: LatticeConfig, support: int):
+def _site(lattice: LatticeConfig, s: int) -> int:
+    """Site index s, wrapped around the cycle."""
+    return s % lattice.n_sites if lattice.geometry == "cycle" else s
+
+
+def _shifts(lattice: LatticeConfig, cells) -> list[int]:
+    """The shifts s that translate every cell c to a site c + s: every site
+    on the cycle, else those that keep the cells on the lattice."""
     if lattice.geometry == "cycle":
         return list(range(lattice.n_sites))
-    return list(range(lattice.n_sites - support + 1))
+    return list(range(-min(cells), lattice.n_sites - max(cells)))
 
 
 def _translated_field(a, coeffs, shift, lattice, label) -> LatticeOperator:
-    out = None
-    for l, c in enumerate(coeffs):
-        if c == 0:
-            continue
-        idx = (shift + l) % lattice.n_sites if lattice.geometry == "cycle" \
-            else shift + l
-        term = a[idx] * c
-        out = term if out is None else out + term
+    ops, cs = zip(*((a[_site(lattice, shift + l)], c)
+                    for l, c in enumerate(coeffs) if c != 0))
+    out = combination(ops, cs)
     out.label = label
     return out
 
@@ -340,26 +326,9 @@ def _z_pair(a, p, shift, lattice):
                  for key in ("kappa", "xi"))
 
 
-def _aij_shifts(lattice: LatticeConfig, I_sites, J_sites):
-    cells = [*I_sites, *J_sites]
-    if lattice.geometry == "cycle":
-        return list(range(lattice.n_sites))
-    lo, hi = min(cells), max(cells)
-    return [k - lo for k in range(0, lattice.extents[0] - (hi - lo))]
-
-
 def _aij_operator(a, ad, I_sites, J_sites, shift, lattice) -> LatticeOperator:
-    def site_at(s):
-        if lattice.geometry == "cycle":
-            return (s + shift) % lattice.n_sites
-        return s + shift
-    out = None
-    for s in I_sites:
-        term = a[site_at(s)]
-        out = term if out is None else out @ term
-    for s in J_sites:
-        term = ad[site_at(s)]
-        out = term if out is None else out @ term
+    out = product([a[_site(lattice, s + shift)] for s in I_sites]
+                  + [ad[_site(lattice, s + shift)] for s in J_sites])
     out.label = f"A(I+{shift},J+{shift})"
     return out
 
@@ -408,11 +377,8 @@ def _power_ccr(lattice: LatticeConfig, site: int, n: int) -> LatticeOperator:
     """[A^n, A*^n] at one site as the polynomial in its number operator N,
     (N+n)...(N+1) - N(N-1)...(N-(n-1))."""
     N, Iop = site_operator(lattice, "n", site), identity_operator(lattice)
-    rising = falling = Iop
-    for i in range(n):
-        rising = rising @ (N + float(i + 1) * Iop)
-        falling = falling @ (N - float(i) * Iop)
-    return rising - falling
+    return (product([N + float(i + 1) * Iop for i in range(n)])
+            - product([N - float(i) * Iop for i in range(n)]))
 
 
 def verify_algebra(built: BuiltModel) -> AlgebraReport:
@@ -432,7 +398,7 @@ def verify_algebra(built: BuiltModel) -> AlgebraReport:
                              lattice, margin=1))
     elif kind == "mean_field_n":
         n = p["n"]
-        checks.extend(mean_field_n_recursion_check(spec))
+        checks.extend(mean_field_n_recursion_check(built, a))
         checks.append(_check(f"power_ccr_site0_n{n}",
                              commutator(_pow(a[0], n), _pow(ad[0], n)),
                              _power_ccr(lattice, 0, n), lattice, margin=n))
@@ -544,31 +510,28 @@ def mean_field_n_coefficients(n: int, k_max: int) -> list[dict[int, int]]:
             for k in range(k_max + 1)]
 
 
-def _mean_field_n_basis(spec: ModelSpec):
-    """Collective operators M_l = X_{n-l} X^l (l = 0..n) and U = X* X."""
-    lattice = spec.lattice
-    a, _ = _ladder(lattice)
+def _mean_field_n_basis(built: BuiltModel, a) -> list[LatticeOperator]:
+    """Collective operators M_l = X_{n-l} X^l (l = 0..n) of a built
+    mean_field_n model, from its site annihilators `a`; M_0 = X_n is the
+    model's direction."""
+    spec, lattice = built.spec, built.spec.lattice
     n, eps, Ns = spec.params["n"], spec.params["eps"], lattice.n_sites
-    X = _combination(a, 1.0 / np.sqrt(Ns))
-    U = X.dag() @ X
+    X = combination(a, 1.0 / np.sqrt(Ns))
 
     def xpow_sum(k):
         if k == 0:
             return identity_operator(lattice) * float(Ns ** (1 - eps))
-        return _combination([_pow(x, k) for x in a], 1.0 / Ns ** eps)
+        return combination([_pow(x, k) for x in a], 1.0 / Ns ** eps)
 
-    M = []
-    for l in range(n + 1):
-        term = xpow_sum(n - l)
-        for _ in range(l):
-            term = term @ X
-        M.append(term * float(Ns ** (-l / 2.0)))
-    return X, U, M
+    return [built.directions[0].X] + [
+        product([xpow_sum(n - l)] + [X] * l) * float(Ns ** (-l / 2.0))
+        for l in range(1, n + 1)]
 
 
-def mean_field_n_recursion_check(spec: ModelSpec) -> list[IdentityCheck]:
-    """Nested commutators ad_U^k(X_n), k = 1..RECURSION_ORDER, against the
-    recursion coefficients, within RECURSION_TOL.
+def mean_field_n_recursion_check(built: BuiltModel, a) -> list[IdentityCheck]:
+    """Nested commutators ad_U^k(X_n), k = 1..RECURSION_ORDER, of a built
+    mean_field_n model with Hamiltonian U and site annihilators `a`, against
+    the recursion coefficients, within RECURSION_TOL.
 
     Both sides are compared on the total-occupation sector <= n_max, where
     the truncated matrices reproduce the untruncated algebra exactly.  The
@@ -578,8 +541,8 @@ def mean_field_n_recursion_check(spec: ModelSpec) -> list[IdentityCheck]:
     family to be independent (it needs about n sites), only the expansion
     residual is checked and the coefficient extraction is skipped.
     """
-    lattice, n = spec.lattice, spec.params["n"]
-    X, U, M = _mean_field_n_basis(spec)
+    lattice, n = built.spec.lattice, built.spec.params["n"]
+    U, M = built.hamiltonian, _mean_field_n_basis(built, a)
     coeffs = mean_field_n_coefficients(n, RECURSION_ORDER)
     Q = total_sector_projector(lattice, lattice.n_max)
     keep = np.flatnonzero(Q.diagonal() > 0.5)
@@ -638,7 +601,7 @@ class ModularOrbit:
 
     def reconstruct(self, t: float) -> LatticeOperator:
         ops, freqs = zip(*self.components)
-        return _combination(ops, [np.exp(1j * w * self.beta * t) for w in freqs])
+        return combination(ops, [np.exp(1j * w * self.beta * t) for w in freqs])
 
 
 def modular_orbit(built: BuiltModel, index: int) -> ModularOrbit:
@@ -672,15 +635,15 @@ def modular_orbit(built: BuiltModel, index: int) -> ModularOrbit:
         c0[k] += eps[k]
         lam, W = np.linalg.eigh(one_particle_matrix(spec))
         a = _ladder(spec.lattice)[0]
-        comps = [(_combination(a, W[:, m].conj() * c), float(w))
+        comps = [(combination(a, W[:, m].conj() * c), float(w))
                  for m, (c, w) in enumerate(zip(c0 @ W, lam))]
         note = f"alpha_t(Z_{j},{k}) by the one-particle matrix h"
     elif spec.kind == "mean_field_n":
         n = spec.params["n"]
         lam, V = np.linalg.eig(_recursion_matrix(n))
         c = np.linalg.solve(V, np.eye(n + 1)[0])
-        M = _mean_field_n_basis(spec)[2]
-        comps = [(_combination(M, V[:, l] * c[l]), float(-w))
+        M = _mean_field_n_basis(built, _ladder(spec.lattice)[0])
+        comps = [(combination(M, V[:, l] * c[l]), float(-w))
                  for l, w in enumerate(lam)]
         note = "alpha_t(X_n) by the coefficient recursion"
     elif spec.kind in PRODUCT_KINDS:

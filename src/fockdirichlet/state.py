@@ -70,10 +70,6 @@ class GibbsState:
         """Log eigenvalues of rho."""
         return -self.beta * self.energies - self.log_Z
 
-    @property
-    def probabilities(self) -> np.ndarray:
-        return np.exp(self.log_p)
-
     def power_diag(self, z: complex) -> np.ndarray:
         """Eigenvalues of rho^z (in the H eigenbasis)."""
         return np.exp(z * self.log_p)
@@ -85,10 +81,6 @@ class GibbsState:
             return sp.diags(d).tocsr()
         V = self.eigvecs
         return (V * d[None, :]) @ V.conj().T
-
-    @property
-    def rho(self):
-        return self.power(1.0)
 
     def to_eigenbasis(self, m) -> np.ndarray:
         m = m.toarray() if sp.issparse(m) else np.asarray(m)

@@ -284,7 +284,8 @@ def test_criterion_5_gap_truncation_stability():
 
 def test_criterion_6_polynomial_decay():
     ring4 = LatticeConfig(1, 4, "cycle", 1.0, 2)
-    heat = heat_comparison(ring4, kernel=KERNEL, t_grid=(0.3, 1.0, 2.0))
+    heat = heat_comparison(build_model(ModelSpec("z_power", ring4)),
+                           kernel=KERNEL, t_grid=(0.3, 1.0, 2.0))
     C = heat.C_predicted
     decay = polynomial_decay_probe((16,), kernel=KERNEL, cross_check_length=None)
     ok = (heat.span_residual <= 1e-9

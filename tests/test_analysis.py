@@ -233,7 +233,7 @@ def test_heat_constant_value(kernel):
 
 def test_heat_comparison_two_site(kernel):
     lat = LatticeConfig(1, 2, "chain", 1.0, 2)
-    rep = heat_comparison(lat, kernel=kernel)
+    rep = heat_comparison(build_model(ModelSpec("z_power", lat)), kernel=kernel)
     assert rep.span_residual < 1e-9
     assert rep.restriction_deviation < 1e-8
     assert rep.C_predicted == pytest.approx(2 * np.sinh(0.5), abs=1e-12)
@@ -263,14 +263,16 @@ def test_heat_comparison_runs_one_semigroup_per_trajectory(kernel, monkeypatch):
     monkeypatch.setattr(analysis, "semigroup_apply", counted)
     lat = LatticeConfig(1, 2, "chain", 1.0, 2)
     t_grid = (0.2, 0.5, 1.0, 2.0)
-    rep = heat_comparison(lat, kernel=kernel, t_grid=t_grid)
+    rep = heat_comparison(build_model(ModelSpec("z_power", lat)), kernel=kernel,
+                          t_grid=t_grid)
     assert calls == [t_grid]
     assert 1e-4 < rep.full_semigroup_deviation < 1.0
 
 
 def test_heat_cycle_laplacian_spectrum(kernel):
     lat = LatticeConfig(1, 4, "cycle", 1.0, 2)
-    rep = heat_comparison(lat, kernel=kernel, t_grid=(0.5,))
+    rep = heat_comparison(build_model(ModelSpec("z_power", lat)), kernel=kernel,
+                          t_grid=(0.5,))
     C = rep.C_predicted
     ev = np.sort(np.linalg.eigvalsh(graph_laplacian(lat)))
     assert np.allclose(ev, [0, 2, 2, 4], atol=1e-12)
@@ -281,7 +283,8 @@ def test_heat_cycle_laplacian_spectrum(kernel):
 
 def test_heat_unordered_convention_halves_constant(kernel):
     lat = LatticeConfig(1, 2, "chain", 1.0, 2)
-    rep = heat_comparison(lat, kernel=kernel, edges="unordered", t_grid=(0.5,))
+    spec = ModelSpec("z_power", lat, params={"edges": "unordered"})
+    rep = heat_comparison(build_model(spec), kernel=kernel, t_grid=(0.5,))
     assert rep.C_predicted == pytest.approx(np.sinh(0.5), abs=1e-12)
     assert rep.restriction_deviation < 1e-8
 
@@ -425,6 +428,18 @@ def test_gap_iterative_solver_agrees_with_dense(kernel, kind, lattice,
     assert iterative.metadata["solver"] == "shift-invert"
     assert iterative.gap == pytest.approx(dense.gap, abs=1e-8)
     assert iterative.kernel_dim == dense.kernel_dim
+
+
+def test_shift_invert_gap_is_deterministic(kernel):
+    # ARPACK starts from the same vector on every call, so two calls on one
+    # generator read the same eigenvalues bit for bit
+    lat = LatticeConfig(1, 2, "chain", 1.0, 3)
+    built = build_model(ModelSpec("zjk_quadratic", lat))
+    K = assemble_generator(built.directions, built.metric, kernel)
+    first, second = spectral_gap(K), spectral_gap(K)
+    assert first.metadata["solver"] == "shift-invert"
+    assert first.eigenvalues.tobytes() == second.eigenvalues.tobytes()
+    assert first.gap == second.gap
 
 
 @pytest.mark.parametrize("routine, error", [

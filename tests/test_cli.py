@@ -232,13 +232,18 @@ def test_scaling_scenario_csv(tmp_path):
 
 
 def test_determinism_byte_identical(tmp_path):
-    p = write_config(tmp_path)
-    for d in ("r1", "r2"):
-        assert main(["--config", str(p), "--out", str(tmp_path / d),
-                     "--seed", "99"]) == 0
-    b1 = (tmp_path / "r1" / "report.json").read_bytes()
-    b2 = (tmp_path / "r2" / "report.json").read_bytes()
-    assert b1 == b2
+    # the gap run's n_max + 1 rerun (D^2 = 256) takes the shift-invert path
+    gap = {"experiment": "gap", "params": {"k": 8}, "model": {
+        "kind": "z_power", "beta": 1.0,
+        "lattice": {"dims": 1, "extent": 2, "geometry": "chain", "n_max": 2}}}
+    for name, overrides in (("verify", {}), ("gap", gap)):
+        p = write_config(tmp_path, name=f"{name}.json", **overrides)
+        for d in ("r1", "r2"):
+            assert main(["--config", str(p), "--out", str(tmp_path / name / d),
+                         "--seed", "99"]) == 0
+        b1 = (tmp_path / name / "r1" / "report.json").read_bytes()
+        b2 = (tmp_path / name / "r2" / "report.json").read_bytes()
+        assert b1 == b2, name
 
 
 def test_manifest_jobs(tmp_path):
@@ -561,6 +566,40 @@ def test_config_the_run_cannot_use_exits_2(tmp_path, capsys, overrides):
     err = capsys.readouterr().err
     assert err.startswith("config error:") and "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("model", [
+    _model(half=True), _model(n=2), {**_model(), "nu": 2.0},
+    _model("mean_field"), _model(n_max=1)],
+    ids=["half", "n2", "nu2", "mean_field", "nmax1"])
+def test_heat_refuses_a_model_outside_its_oracle(tmp_path, capsys,
+                                                 monkeypatch, model):
+    def no_assembly(*args, **kwargs):
+        raise AssertionError("heat assembled a generator before refusing")
+    monkeypatch.setattr("fockdirichlet.analysis.assemble_generator", no_assembly)
+    p = write_config(tmp_path, experiment="heat", model=model)
+    assert main(["--config", str(p), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: heat needs a z_power model")
+
+
+def test_heat_reads_its_edges_from_the_model(tmp_path, capsys):
+    model = _model(edges="unordered")
+    p = write_config(tmp_path, experiment="heat", model=model,
+                     params={"t_grid": [0.3, 1.0]})
+    assert main(["--config", str(p), "--out", str(tmp_path / "out")]) == 0
+    heat = read_report(tmp_path / "out" / "report.json")["heat"]
+    # eta_hat(0) of write_config's kernel
+    eta0 = AdmissibleKernel(kappa=0.0, n=1, sigma=0.0).fourier(0.0).real
+    assert heat["C_predicted"] == pytest.approx(2 * eta0 * np.sinh(0.5),
+                                                rel=1e-14)
+    assert heat["metadata"]["edges"] == "unordered"
+    # the experiment has no `edges` param of its own
+    p = write_config(tmp_path, experiment="heat", model=_model(),
+                     params={"edges": "unordered"})
+    assert main(["--config", str(p), "--out", str(tmp_path / "out2")]) == 2
+    err = capsys.readouterr().err
+    assert "field params" in err and "'edges'" in err
 
 
 @pytest.mark.parametrize("model", [

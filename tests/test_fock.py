@@ -1,11 +1,15 @@
+import itertools
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from fockdirichlet import (LatticeConfig, LatticeOperator, TruncationReport,
-                           build_mode_ops, clean_projector, commutator, embed,
+from fockdirichlet import (LatticeConfig, LatticeOperator, ModelSpec,
+                           TruncationReport, build_mode_ops, build_model,
+                           clean_projector, commutator, embed,
                            identity_operator, mollify, site_operator)
-from fockdirichlet.fock import PRUNE_TOL, _canonical, _fro, _prune, compressed
+from fockdirichlet.fock import (PRUNE_TOL, _canonical, _fro, _prune,
+                                combination, compressed, product)
 
 
 def test_mode_ops_entries():
@@ -205,6 +209,16 @@ def test_lattice_geometry_and_neighbors():
     assert len(box.neighbor_pairs()) == 4
     with pytest.raises(ValueError):
         LatticeConfig(2, 2, "cycle", 1.0, 1)
+    # the pairs at unit l1 distance, in lexicographic order
+    for lat, count in ((LatticeConfig(2, 16, "box", 1.0, 1), 480),
+                       (LatticeConfig(3, (2, 3, 4), "box", 1.0, 1), 46)):
+        sites = lat.sites
+        want = [(a, b) for a, b in itertools.combinations(range(lat.n_sites), 2)
+                if sum(abs(x - y) for x, y in zip(sites[a], sites[b])) == 1]
+        assert lat.neighbor_pairs() == want and len(want) == count
+    ring2 = LatticeConfig(1, 2, "cycle", 1.0, 1)
+    assert ring2.neighbor_pairs() == [(0, 1)]
+    assert ring2.ordered_neighbor_pairs() == [(0, 1), (1, 0)]
 
 
 def test_clean_projector_and_identity_action_outside_support(rng):
@@ -244,3 +258,35 @@ def test_fro_is_scipy_sparse_norm_bit_for_bit(make):
     assert _fro(m) == float(norm(make()))
     assert _same_arrays(_arrays(m), before)
     assert _fro(m) == float(norm(m))
+
+
+def _same_bits(x: LatticeOperator, y: LatticeOperator) -> bool:
+    return np.array_equal(x.toarray(), y.toarray()) and x.support == y.support
+
+
+@pytest.mark.parametrize("coeffs", [None, 0.7 - 0.2j, [0.5, -1.0, 2.0, 1j],
+                                    np.array([0.3, 1.5, -0.25, 0.75])],
+                         ids=["none", "scalar", "list", "ndarray"])
+def test_combination_scales_and_adds_from_left_to_right(coeffs):
+    # sum Z* Z of zjk_quadratic on a 3-chain: four terms whose patterns
+    # overlap, so the order of the additions shows in the roundoff
+    lat = LatticeConfig(1, 3, "chain", 1.0, 2)
+    built = build_model(ModelSpec("zjk_quadratic", lat,
+                                  params={"kappa": 0.9, "eps": 1.3}))
+    ops = [d.X.dag() @ d.X for d in built.directions]
+    cs = [coeffs] * len(ops) if np.isscalar(coeffs) else coeffs
+    terms = ops if coeffs is None else [op * c for op, c in zip(ops, cs)]
+    want = terms[0]
+    for term in terms[1:]:
+        want = want + term
+    assert _same_bits(combination(ops, coeffs), want)
+    if coeffs is None:
+        assert _same_bits(combination(ops), built.hamiltonian)
+
+
+def test_product_multiplies_from_left_to_right():
+    lat = LatticeConfig(1, 2, "chain", 1.0, 3)
+    a = [site_operator(lat, "a", s) for s in range(2)]
+    ops = [a[0], a[1].dag(), a[0].dag() * 0.5, a[1]]
+    assert _same_bits(product(ops), ((ops[0] @ ops[1]) @ ops[2]) @ ops[3])
+    assert product(ops[:1]) is ops[0]

@@ -11,7 +11,7 @@ from fockdirichlet import (AdmissibleKernel, DerivationDirection, KmsMetric,
                            modular_flow, modular_orbit, site_operator,
                            total_sector_projector, verify_algebra)
 from fockdirichlet.fock import compressed
-from fockdirichlet.models import (MODEL_KINDS, PRODUCT_KINDS, RECURSION_ORDER,
+from fockdirichlet.models import (KINDS, PRODUCT_KINDS, RECURSION_ORDER,
                                   OrbitUnsupportedError, one_particle_matrix)
 
 
@@ -234,7 +234,7 @@ ORBIT_PARAMS = {"mean_field_n": {"n": 3},
                 "invariant_aij": {"sites_i": [0], "sites_j": [1]}}
 
 
-@pytest.mark.parametrize("kind", MODEL_KINDS)
+@pytest.mark.parametrize("kind", list(KINDS))
 def test_every_kind_orbit_matches_modular_flow(kind):
     lat = LatticeConfig(1, 3 if kind == "zjk_quadratic" else 2, "chain", 1.0, 4)
     spec = ModelSpec(kind, lat, params=ORBIT_PARAMS.get(kind, {}))
@@ -389,7 +389,7 @@ def test_g_model_defaults_admit_kappa_zero():
     assert rep.passed, [(c.name, c.residual) for c in rep.checks]
 
 
-@pytest.mark.parametrize("kind", MODEL_KINDS)
+@pytest.mark.parametrize("kind", list(KINDS))
 def test_every_kind_at_its_defaults(kind):
     lat = LatticeConfig(1, 2, "chain", 1.0, 4)
     if kind == "invariant_aij":   # it has no default site sets

@@ -126,16 +126,16 @@ def test_hermiticity_defects_of_a_non_canonical_csr():
 def test_infinite_temperature_limit():
     lat = LatticeConfig(1, 1, "chain", 1.0, 3)
     st = gibbs_state(site_operator(lat, "n", 0), 1e-9)
-    rho = st.rho.toarray()
+    rho = st.power(1.0).toarray()
     assert np.max(np.abs(rho - np.eye(4) / 4)) < 1e-8
 
 
 def test_product_state_factorizes(two_site):
     lat, state, _ = two_site
-    rho = state.rho.toarray()
+    rho = state.power(1.0).toarray()
     lat1 = LatticeConfig(1, 1, "chain", 1.0, 2)
     st1 = gibbs_state(site_operator(lat1, "n", 0), 1.0)
-    r1 = st1.rho.toarray()
+    r1 = st1.power(1.0).toarray()
     assert np.max(np.abs(rho - np.kron(r1, r1))) < 1e-13
 
 
@@ -147,8 +147,8 @@ def test_rejects_non_hermitian():
 
 def test_state_invariants(single_mode, rng):
     lat, state, _ = single_mode
-    assert abs(state.rho.diagonal().sum() - 1.0) < 1e-12
-    assert state.probabilities.min() >= -1e-14
+    assert abs(state.power(1.0).diagonal().sum() - 1.0) < 1e-12
+    assert np.exp(state.log_p).min() >= -1e-14
     # rho^z rho^w = rho^{z+w} on sampled complex exponents
     for _ in range(4):
         z = complex(rng.uniform(-1, 1), rng.uniform(-0.5, 0.5))
@@ -385,7 +385,7 @@ def test_gibbs_extreme_beta_log_domain():
     lat = LatticeConfig(1, 1, "chain", 1.0, 6)
     st = gibbs_state(site_operator(lat, "n", 0), 500.0)
     assert np.isfinite(st.log_Z)
-    p = st.probabilities
+    p = np.exp(st.log_p)
     assert p[0] == pytest.approx(1.0, abs=1e-12)
     assert np.all(np.isfinite(p))
 
@@ -424,7 +424,7 @@ def _fork_inner(state, f, g) -> complex:
 
 def _fork_expectation(state, f) -> complex:
     if state.diagonal:
-        return complex(np.sum(state.probabilities * f.matrix.diagonal()))
+        return complex(np.sum(np.exp(state.log_p) * f.matrix.diagonal()))
     return complex(np.trace(state.power(1.0) @ f.toarray()))
 
 
