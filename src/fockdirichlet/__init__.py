@@ -5,8 +5,8 @@ from .fock import (LatticeConfig, LatticeOperator, TruncationReport,
                    build_mode_ops, clean_projector, commutator, embed,
                    identity_operator, mollify, site_operator,
                    total_sector_projector)
-from .state import (GibbsState, KmsMetric, decompose_modular, eigen_detect,
-                    gibbs_state, lp_norm, modular_flow, modular_flows)
+from .state import (GibbsState, KmsMetric, decompose_modular, gibbs_state,
+                    lp_norm, modular_flow, modular_flows)
 from .kernels import AdmissibleKernel, admissibility_report
 from .dirichlet import (DerivationDirection, Superoperator,
                         adjoint_derivation_super, assemble_generator,

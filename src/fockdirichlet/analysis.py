@@ -75,7 +75,7 @@ def ladder_span_restriction(K: Superoperator, *,
     basis = ([identity_operator(lattice)] if unit else []) + \
         [site_operator(lattice, "a", j) for j in range(N)] + \
         [site_operator(lattice, "adag", j) for j in range(N)]
-    keep = np.flatnonzero(clean_projector(lattice, 1).diagonal() > 0.5)
+    keep = clean_projector(lattice, 1)
     clean = (keep[:, None] + D * keep[None, :]).reshape(-1)
     Bf = np.stack([vec(b) for b in basis], axis=1)
     Bc, Yf = Bf[clean], K.matrix @ Bf
@@ -151,6 +151,8 @@ def spectral_gap(L: Superoperator, k: int = 8) -> GapReport:
     sinh(beta/2), and `clean_gap` is the gap itself: the raw gap decreases
     monotonically in n_max onto C/2.
     """
+    if k < 1:
+        raise ValueError(f"spectral_gap needs k >= 1 eigenvalues, got {k}")
     require_symmetric(L)
     n = L.dim
     idv = vec(identity_operator(L.lattice))
@@ -239,14 +241,6 @@ class ScalingReport:
     metadata: dict = field(default_factory=dict)
 
 
-def _working_block(eval_lattice: LatticeConfig, n_max: int) -> np.ndarray:
-    """Indices of eval-lattice basis states with every occupation <= n_max:
-    the site-by-site compression to the working levels, in the basis order
-    of the n_max lattice."""
-    occ = eval_lattice.occupations()
-    return np.flatnonzero(np.all(occ <= n_max, axis=1))
-
-
 class _ChainForms:
     """Window-sum energy terms on one open chain of `n_sites`.
 
@@ -271,7 +265,7 @@ class _ChainForms:
                     d.X, built.state, max_components=256)
         self.directions = built.directions
         self.metric = build_model(ModelSpec(kind, work, **model)).metric
-        self.keep = np.ix_(*2 * [_working_block(self.eval, n_max)])
+        self.keep = np.ix_(*2 * [clean_projector(self.eval, SCALING_MARGIN)])
         self.cache: dict[tuple, list[float]] = {}
 
     def derivation(self, X, F):
@@ -324,8 +318,9 @@ def rayleigh_scaling(kind: str, test: str, sizes, *, n_max: int = 1,
     """
     kernel = kernel or AdmissibleKernel()
     sizes = list(sizes)
-    if not sizes or min(sizes) < 1:
-        raise ValueError(f"scaling window sizes must be >= 1, got {sizes}")
+    if len(set(sizes)) < 2 or min(sizes) < 1:
+        raise ValueError("scaling fits through two or more distinct window "
+                         f"sizes, each >= 1, got {sizes}")
     if test not in ("sum_adag", "sum_n"):
         raise ValueError(f"unknown test sequence {test!r}")
     offset = 0 if kind == "mean_field" else pad

@@ -256,11 +256,12 @@ _JSON_TYPES = ((bool, "boolean"), (int, "integer"), (float, "number"),
 
 
 def _param_schema(default, nullable: bool = False) -> dict:
-    """The JSON-schema type of an experiment param, from its default's."""
+    """The JSON-schema type of an experiment param, from its default's; an
+    array param must be nonempty."""
     kind = next(name for cls, name in _JSON_TYPES if isinstance(default, cls))
     schema = {"type": [kind, "null"] if nullable else kind}
     if kind == "array":
-        schema["items"] = _param_schema(default[0])
+        schema.update(items=_param_schema(default[0]), minItems=1)
     return schema
 
 

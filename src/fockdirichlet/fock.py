@@ -9,8 +9,9 @@ The hard cutoff makes the creation operator annihilate the top level, which
 violates [A, A+] = 1 on exactly one level: the defect is the rank-one
 operator -(n_max+1) * |n_max><n_max|.  Identities that hold exactly in
 infinite dimensions therefore hold here only on a "clean" subspace away from
-the cutoff; `clean_projector` / `total_sector_projector` build the projectors
-used to state those residuals, and `TruncationReport` records the defect.
+the cutoff; `clean_projector` / `total_sector_projector` give the basis
+states those residuals are stated on, and `TruncationReport` records the
+defect.
 """
 
 from __future__ import annotations
@@ -336,22 +337,19 @@ def mollify(site: int, epsilon: float, lattice: LatticeConfig):
     return a, a.dag()
 
 
-def clean_projector(lattice: LatticeConfig, margin: int) -> sp.csr_matrix:
-    """Diagonal projector onto basis states with every site occupation
-    <= n_max - margin."""
+def clean_projector(lattice: LatticeConfig, margin: int) -> np.ndarray:
+    """The diagonal projector onto basis states with every site occupation
+    <= n_max - margin, given by the sorted indices of the states it keeps."""
     occ = lattice.occupations()
-    keep = np.all(occ <= lattice.n_max - margin, axis=1).astype(float)
-    return sp.diags(keep).tocsr()
+    return np.flatnonzero(np.all(occ <= lattice.n_max - margin, axis=1))
 
 
-def total_sector_projector(lattice: LatticeConfig, max_total: int) -> sp.csr_matrix:
-    """Diagonal projector onto basis states of total occupation <= max_total."""
-    occ = lattice.occupations()
-    keep = (occ.sum(axis=1) <= max_total).astype(float)
-    return sp.diags(keep).tocsr()
+def total_sector_projector(lattice: LatticeConfig, max_total: int) -> np.ndarray:
+    """The diagonal projector onto basis states of total occupation
+    <= max_total, given by the sorted indices of the states it keeps."""
+    return np.flatnonzero(lattice.occupations().sum(axis=1) <= max_total)
 
 
-def compressed(op: LatticeOperator, projector: sp.spmatrix) -> np.ndarray:
-    """Dense P M P restricted to the kept rows/columns of a diagonal projector."""
-    keep = np.flatnonzero(projector.diagonal() > 0.5)
-    return op.toarray()[np.ix_(keep, keep)]
+def compressed(op: LatticeOperator, keep: np.ndarray) -> np.ndarray:
+    """Dense block of op on the basis states `keep` (rows and columns)."""
+    return op.matrix[keep][:, keep].toarray()

@@ -544,14 +544,10 @@ def mean_field_n_recursion_check(built: BuiltModel, a) -> list[IdentityCheck]:
     lattice, n = built.spec.lattice, built.spec.params["n"]
     U, M = built.hamiltonian, _mean_field_n_basis(built, a)
     coeffs = mean_field_n_coefficients(n, RECURSION_ORDER)
-    Q = total_sector_projector(lattice, lattice.n_max)
-    keep = np.flatnonzero(Q.diagonal() > 0.5)
-
-    def comp(op):
-        return op.matrix.toarray()[np.ix_(keep, keep)].reshape(-1)
+    keep = total_sector_projector(lattice, lattice.n_max)
 
     reduced = M[:n]  # M_n == M_{n-1}; its coefficient folds onto l = n-1
-    basis = np.stack([comp(m) for m in reduced], axis=1)
+    basis = np.stack([compressed(m, keep).reshape(-1) for m in reduced], axis=1)
     full_rank = np.linalg.matrix_rank(basis, tol=1e-8) == len(reduced)
 
     def want_vector(k):
@@ -563,7 +559,7 @@ def mean_field_n_recursion_check(built: BuiltModel, a) -> list[IdentityCheck]:
     cur = M[0]
     for k in range(1, RECURSION_ORDER + 1):
         cur = commutator(U, cur)
-        target = comp(cur)
+        target = compressed(cur, keep).reshape(-1)
         want = want_vector(k)
         resid = np.linalg.norm(basis @ want - target) / max(np.linalg.norm(target), 1.0)
         if full_rank:

@@ -35,8 +35,6 @@ CONDITION_LIMIT = 1e12
 FLOW_BATCH = 1 << 21
 # modular frequencies closer than this share a component in `decompose_modular`
 CLUSTER_TOL = 1e-9
-# relative residual below which `eigen_detect` accepts an eigenoperator
-EIGEN_TOL = 1e-9
 
 
 class ConditionWarning(UserWarning):
@@ -286,26 +284,6 @@ def modular_flow(X: LatticeOperator, state: GibbsState, z: complex) -> LatticeOp
     out.sum_duplicates()
     return LatticeOperator(out, frozenset(range(lattice.n_sites)), lattice,
                            f"alpha_{z}({X.label})")
-
-
-def eigen_detect(X: LatticeOperator, state: GibbsState) -> float | None:
-    """Detect xi with alpha_{i/2}(X) = exp(xi) X, else None.
-
-    xi is recovered as the log of the Rayleigh ratio <X, alpha_{i/2}(X)>_F /
-    <X, X>_F and accepted only when the residual stays below
-    EIGEN_TOL * ||X||_F.
-    """
-    Xm = X.matrix
-    nrm = _fro(Xm)
-    if nrm == 0:
-        raise ValueError("eigen_detect requires a nonzero operator")
-    Y = modular_flow(X, state, 0.5j).matrix
-    c = complex((Xm.conj().multiply(Y)).sum() / nrm ** 2)
-    if _fro(Y - c * Xm) > EIGEN_TOL * nrm:
-        return None
-    if c.real <= 0 or abs(c.imag) > EIGEN_TOL * abs(c):
-        return None
-    return float(np.log(c.real))
 
 
 def decompose_modular(X: LatticeOperator, state: GibbsState, *,

@@ -179,7 +179,7 @@ def _full_lattice_scaling(kind, test, sizes, n_max, params, kernel, pad=1,
                        for lat in chain)
         F, Fw = (reduce(add, (site_operator(lat, op, j)
                               for j in range(pad, pad + n))) for lat in chain)
-        keep = np.flatnonzero(np.all(chain[0].occupations() <= n_max, axis=1))
+        keep = clean_projector(chain[0], margin)
 
         def headroom_delta(X, f):
             m = 1j * (X.matrix @ f.matrix - f.matrix @ X.matrix)
@@ -487,7 +487,7 @@ def _span_restriction_reference(K, unit):
     basis = ([identity_operator(lattice)] if unit else []) + \
         [site_operator(lattice, "a", j) for j in range(N)] + \
         [site_operator(lattice, "adag", j) for j in range(N)]
-    keep = np.flatnonzero(clean_projector(lattice, 1).diagonal() > 0.5)
+    keep = clean_projector(lattice, 1)
 
     def clean_vec(op):
         return op.matrix.toarray()[np.ix_(keep, keep)].reshape(-1)

@@ -474,6 +474,21 @@ def test_misspelled_param_exits_2(tmp_path, capsys, experiment):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("experiment, param", [
+    (name, key) for name, exp in EXPERIMENTS.items()
+    for key, default in exp.params.items() if isinstance(default, list)],
+    ids=lambda x: x)
+def test_empty_array_param_exits_2(tmp_path, capsys, experiment, param):
+    # an empty list leaves the run nothing to check or fit: the schema
+    # refuses it and names the field
+    p = write_config(tmp_path, experiment=experiment, params={param: []})
+    out = tmp_path / "out"
+    assert main(["--config", str(p), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and f"field params/{param}:" in err
+    assert not out.exists()
+
+
 def _model(kind="z_power", n_max=2, **params):
     return {"kind": kind, "params": params,
             "lattice": {"dims": 1, "extent": 2, "geometry": "chain",
@@ -523,6 +538,10 @@ def _model(kind="z_power", n_max=2, **params):
      "params": {"cross_check_n_max": 1}},
     {"experiment": "heat", "model": _model(), "params": {"t_grid": [-1.0]}},
     {"experiment": "scaling", "model": None, "params": {"sizes": [0, 3, 4]}},
+    # a fit through fewer than two distinct sizes, and no eigenvalue asked
+    {"experiment": "scaling", "model": None, "params": {"sizes": [3, 3]}},
+    {"experiment": "scaling", "model": None, "params": {"sizes": [3]}},
+    {"experiment": "gap", "params": {"k": 0}},
     {"experiment": "scaling", "model": None, "params": {
         "kind": "invariant_aij", "sizes": [3, 4],
         "model_params": {"sites_i": [0], "sites_j": [9]}}},
@@ -551,7 +570,8 @@ def _model(kind="z_power", n_max=2, **params):
         "heat-one-site", "verify-aij-box", "heat-extent-length-not-dims",
         "gap-zero-weights", "lieb-robinson-chain3", "lieb-robinson-nmax0",
         "decay-length2", "decay-cross-check-nmax1", "heat-negative-time",
-        "scaling-size0", "scaling-aij-no-direction", "verify-zjk-one-site",
+        "scaling-size0", "scaling-repeated-size", "scaling-one-size",
+        "gap-k0", "scaling-aij-no-direction", "verify-zjk-one-site",
         "verify-z_field-zero-xi", "verify-w_ops-ergodic_fix",
         "verify-g_model-no-clean-level",
         "bogolubov-string-s", "scaling-string-sizes",

@@ -7,7 +7,8 @@ import scipy.sparse as sp
 from fockdirichlet import (LatticeConfig, LatticeOperator, ModelSpec,
                            TruncationReport, build_mode_ops, build_model,
                            clean_projector, commutator, embed,
-                           identity_operator, mollify, site_operator)
+                           identity_operator, mollify, site_operator,
+                           total_sector_projector)
 from fockdirichlet.fock import (PRUNE_TOL, _canonical, _fro, _prune,
                                 combination, compressed, product)
 
@@ -223,10 +224,8 @@ def test_lattice_geometry_and_neighbors():
 
 def test_clean_projector_and_identity_action_outside_support(rng):
     lat = LatticeConfig(1, 2, "chain", 1.0, 2)
-    P = clean_projector(lat, 1)
-    occ = lat.occupations()
-    kept = P.diagonal() > 0.5
-    assert np.all(occ[kept] <= 1)
+    kept = clean_projector(lat, 1)
+    assert np.all(lat.occupations()[kept] <= 1)
     # embedded operator acts as identity outside its support: partial-trace
     # comparison on random vectors over the other mode
     a0 = site_operator(lat, "a", 0).toarray()
@@ -236,6 +235,44 @@ def test_clean_projector_and_identity_action_outside_support(rng):
     lhs = a0 @ np.kron(v, w)
     rhs = np.kron(A.toarray() @ v, w)
     assert np.allclose(lhs, rhs)
+
+
+@pytest.mark.parametrize("lattice", [(1, 3, "chain", 2), (1, 4, "cycle", 3),
+                                     (2, 2, "box", 2)],
+                         ids=["chain", "cycle", "box"])
+def test_kept_states_are_exactly_those_of_the_occupation_rule(lattice):
+    dims, extent, geometry, n_max = lattice
+    lat = LatticeConfig(dims, extent, geometry, 1.0, n_max)
+    occ = lat.occupations()
+    # every margin up to one above n_max, whose rule keeps no state
+    for margin in range(n_max + 2):
+        keep = clean_projector(lat, margin)
+        assert keep.dtype.kind == "i"
+        assert keep.tolist() == [i for i, row in enumerate(occ)
+                                 if max(row) <= n_max - margin]
+    for max_total in range(-1, lat.n_sites * n_max + 1):
+        keep = total_sector_projector(lat, max_total)
+        assert keep.dtype.kind == "i"
+        assert keep.tolist() == [i for i, row in enumerate(occ)
+                                 if sum(row) <= max_total]
+
+
+@pytest.mark.parametrize("make", [
+    lambda: (build_model(ModelSpec("zjk_quadratic", LatticeConfig(
+        1, 3, "chain", 1.0, 2))).hamiltonian, [1, 4, 9, 13, 26]),
+    lambda: (LatticeOperator(_csr_with_duplicates(), {0},
+                             LatticeConfig(1, 1, "chain", 1.0, 2)), [0, 2])],
+    ids=["hamiltonian", "duplicates"])
+def test_compressed_is_the_dense_block_bit_for_bit(make):
+    op, rows = make()
+    before = _arrays(op.matrix)
+    for keep in (np.array(rows), clean_projector(op.lattice, 1),
+                 np.array([], dtype=np.int64)):
+        want = op.toarray()[np.ix_(keep, keep)]
+        got = compressed(op, keep)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+    assert _same_arrays(_arrays(op.matrix), before)
 
 
 def _csr_with_duplicates():

@@ -3,9 +3,8 @@ import pytest
 import scipy.sparse as sp
 
 from fockdirichlet import (KmsMetric, LatticeConfig, LatticeOperator,
-                           ModelSpec, build_model, commutator, eigen_detect,
-                           gibbs_state, lp_norm, modular_flow, modular_flows,
-                           site_operator)
+                           ModelSpec, build_model, commutator, gibbs_state,
+                           lp_norm, modular_flow, modular_flows, site_operator)
 from fockdirichlet.fock import _fro
 from fockdirichlet.state import (ConditionWarning, _hermiticity_defects, _logsumexp,
                                  decompose_modular)
@@ -246,18 +245,6 @@ def test_real_time_star_automorphism(single_mode, rng):
     assert (star - modular_flow(f, state, t).dag()).fro_norm() < 1e-10
 
 
-def test_eigen_detect(single_mode):
-    lat, state, _ = single_mode
-    a = site_operator(lat, "a", 0)
-    assert eigen_detect(a, state) == pytest.approx(-0.5, abs=1e-12)
-    assert eigen_detect(a + a.dag(), state) is None
-    lat2 = LatticeConfig(1, 2, "chain", 1.0, 2)
-    H = site_operator(lat2, "n", 0) + site_operator(lat2, "n", 1)
-    st2 = gibbs_state(H, 1.0)
-    hop = site_operator(lat2, "adag", 0) @ site_operator(lat2, "a", 1)
-    assert eigen_detect(hop, st2) == pytest.approx(0.0, abs=1e-12)
-
-
 def test_schwartz_chain_inequalities(single_mode, rng):
     # ||XB||^2 <= ||B*B|| ||XX*|| and ||BX||^2 <= ||BB*|| ||X*X||
     lat, state, metric = single_mode
@@ -280,6 +267,13 @@ def test_decompose_modular_product_state(two_site):
     mixed = a0 + a0.dag()
     comps = decompose_modular(mixed, state)
     assert sorted(w for _, w in comps) == pytest.approx([-1.0, 1.0])
+    # a hop conserves the total number: one component at frequency 0
+    hop = a0.dag() @ site_operator(lat, "a", 1)
+    comps = decompose_modular(hop, state)
+    assert len(comps) == 1
+    op, w = comps[0]
+    assert w == pytest.approx(0.0, abs=1e-12)
+    assert (op - hop).fro_norm() < 1e-14
 
 
 def test_flows_and_components_keep_superset_support():
